@@ -2,13 +2,9 @@
 //!
 //! Measures event-loop throughput — `Cluster::step` calls per second of
 //! wall clock — on mostly-idle clusters of 2/16/64/256 machines, the
-//! regime where the cost of *finding* the next event dominates. A
-//! second, strong-scaling section sweeps the sharded parallel executor
-//! over 256/1024/4096-machine clusters at 1/2/4/8 shards with a
-//! workload that scales with size, reporting node visits per second and
-//! speedup over the one-shard run. Writes the results as JSON
-//! (`BENCH_EVENTLOOP.json` by default) so CI can compare against the
-//! committed baseline and fail on regressions.
+//! regime where the cost of *finding* the next event dominates. Writes
+//! the results as JSON (`BENCH_EVENTLOOP.json` by default) so CI can
+//! compare against the committed baseline and fail on regressions.
 //!
 //! Usage:
 //!   perf_baseline [--quick] [--out FILE] [--check BASELINE]
@@ -28,11 +24,6 @@ use demos_sim::programs::{CpuBurner, PingPong};
 use std::time::Instant;
 
 const SIZES: [usize; 4] = [2, 16, 64, 256];
-/// Cluster sizes for the parallel strong-scaling section. The last one
-/// is skipped under `--quick`.
-const PAR_SIZES: [usize; 3] = [256, 1024, 4096];
-/// Shard counts swept per size in the parallel section.
-const PAR_THREADS: [usize; 4] = [1, 2, 4, 8];
 /// Regression gate: fail `--check` below this fraction of the baseline.
 const MIN_RATIO: f64 = 0.7;
 /// Cluster size the `--check` gate applies to.
@@ -122,79 +113,6 @@ struct Sample {
     events_per_sec: f64,
 }
 
-/// One row of the parallel strong-scaling sweep. Unlike the sequential
-/// rows, the workload *scales with* machine count (one message pair per
-/// eight machines, one timer job per eight) so more shards have real
-/// work to split, and the rate counts node visits rather than `step`
-/// calls — the two loops batch work differently, so steps/sec would not
-/// be comparable across thread counts but visits/sec is.
-struct ParSample {
-    machines: usize,
-    threads: usize,
-    visits: u64,
-    wall_secs: f64,
-    events_per_sec: f64,
-    segments: u64,
-}
-
-/// A cluster whose workload grows with its size: a cross-cluster
-/// ping-pong pair per eight machines and a periodic CPU burner on every
-/// eighth machine. Trace and flight recorder are off — at 4096 machines
-/// the recorder rings alone would dominate memory and the measurement.
-fn warm_parallel_cluster(n: usize, threads: usize) -> Cluster {
-    let mut cluster = ClusterBuilder::new(n)
-        .seed(7)
-        .no_trace()
-        .recorder_capacity(0)
-        .shards(threads)
-        .build();
-    for i in 0..n / 8 {
-        pingpong_pair(&mut cluster, m(i), m(n - 1 - i));
-    }
-    for k in (0..n).step_by(8) {
-        cluster
-            .spawn(
-                m(k),
-                "cpu_burner",
-                &CpuBurner::state(0, 120, 900),
-                ImageLayout::default(),
-            )
-            .unwrap();
-    }
-    cluster.run_for(Duration::from_millis(2));
-    cluster
-}
-
-/// Strong-scaling measurement: drive fresh clusters through `virt` of
-/// virtual time via `run_for` (the sharded executor dispatches from
-/// `run_until`, not `step`) until `min_wall` wall seconds accumulate.
-fn measure_parallel(n: usize, threads: usize, virt: Duration, min_wall: f64) -> ParSample {
-    let visits_of = |c: &Cluster| {
-        let s = c.step_stats();
-        s.cpu_visits + s.frame_visits + s.timer_visits
-    };
-    let mut visits = 0u64;
-    let mut segments = 0u64;
-    let mut wall = 0.0f64;
-    while wall < min_wall {
-        let mut cluster = warm_parallel_cluster(n, threads);
-        let before = visits_of(&cluster);
-        let t0 = Instant::now();
-        cluster.run_for(virt);
-        wall += t0.elapsed().as_secs_f64();
-        visits += visits_of(&cluster) - before;
-        segments = cluster.parallel_segments();
-    }
-    ParSample {
-        machines: n,
-        threads,
-        visits,
-        wall_secs: wall,
-        events_per_sec: visits as f64 / wall,
-        segments,
-    }
-}
-
 /// Drive fresh clusters through `virt` of virtual time until at least
 /// `min_wall` seconds of wall clock have accumulated.
 fn measure(n: usize, virt: Duration, min_wall: f64) -> Sample {
@@ -231,7 +149,6 @@ fn render_json(
     samples: &[Sample],
     recorder: &(Sample, Sample),
     cores: usize,
-    par: &[ParSample],
 ) -> String {
     let (on, off) = recorder;
     let mut out = String::new();
@@ -247,30 +164,7 @@ fn render_json(
         off.events_per_sec,
         on.events_per_sec / off.events_per_sec
     ));
-    // Parallel rows deliberately use the key "m", not "machines":
-    // `baseline_rate`'s textual scan keys on `"machines": N,` lines and
-    // must keep matching only the sequential results.
     out.push_str(&format!("  \"cores\": {cores},\n"));
-    out.push_str("  \"parallel\": [\n");
-    for (i, p) in par.iter().enumerate() {
-        let base = par
-            .iter()
-            .find(|q| q.machines == p.machines && q.threads == 1)
-            .map_or(1.0, |q| q.events_per_sec);
-        out.push_str(&format!(
-            "    {{\"m\": {}, \"threads\": {}, \"visits\": {}, \"wall_secs\": {:.4}, \
-             \"visits_per_sec\": {:.1}, \"speedup\": {:.3}, \"segments\": {}}}{}\n",
-            p.machines,
-            p.threads,
-            p.visits,
-            p.wall_secs,
-            p.events_per_sec,
-            p.events_per_sec / base,
-            p.segments,
-            if i + 1 < par.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
     out.push_str("  \"results\": [\n");
     for (i, s) in samples.iter().enumerate() {
         out.push_str(&format!(
@@ -359,45 +253,10 @@ fn main() {
     );
     let recorder = (rec_on, rec_off);
 
-    // Parallel strong scaling: scaled workload, shard counts 1..8. On a
-    // single-core runner the parallel rows mostly pay barrier overhead;
-    // the committed JSON records `cores` so readers can tell which
-    // regime the numbers come from.
+    // Record the host's core count so readers can tell which regime the
+    // committed numbers come from.
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let mut par = Vec::new();
-    for &n in &PAR_SIZES {
-        if quick && n > 1024 {
-            continue;
-        }
-        for &threads in &PAR_THREADS {
-            let p = measure_parallel(n, threads, virt, min_wall);
-            let base = par
-                .iter()
-                .find(|q: &&ParSample| q.machines == n && q.threads == 1)
-                .map_or(p.events_per_sec, |q| q.events_per_sec);
-            eprintln!(
-                "parallel m={:4} threads={}  visits={:9}  wall={:.3}s  \
-                 visits/sec={:.0}  speedup={:.2}x  segments={}",
-                p.machines,
-                p.threads,
-                p.visits,
-                p.wall_secs,
-                p.events_per_sec,
-                p.events_per_sec / base,
-                p.segments
-            );
-            par.push(p);
-        }
-    }
-
-    let json = render_json(
-        quick,
-        virt.as_micros() / 1000,
-        &samples,
-        &recorder,
-        cores,
-        &par,
-    );
+    let json = render_json(quick, virt.as_micros() / 1000, &samples, &recorder, cores);
     std::fs::write(&out_path, &json).expect("write results");
     eprintln!("wrote {out_path}");
 

@@ -57,16 +57,6 @@ pub struct RunConfig {
     /// their processes forever, and the harness is expected to catch the
     /// vanished process. No effect on classic scenarios.
     pub disable_recovery: bool,
-    /// Worker threads for the sharded event-loop executor. `0` and `1`
-    /// both mean the sequential loop. Verdicts, fingerprints, traces and
-    /// recorder dumps are identical for every value — the shard-equality
-    /// suite replays the whole corpus to pin that.
-    pub shards: usize,
-    /// Zero out the scenario's link-loss probability. Lossy links force
-    /// the sharded executor onto its sequential fallback (the loss RNG
-    /// is global), so campaigns that want genuine parallel coverage —
-    /// e.g. the ThreadSanitizer CI job — strip loss with this flag.
-    pub lossless: bool,
 }
 
 /// Outcome of one scenario execution.
@@ -82,11 +72,6 @@ pub struct RunReport {
     pub events_applied: usize,
     /// Schedule events skipped by safety guards.
     pub events_skipped: usize,
-    /// Parallel segments the sharded executor ran (0 = every run took
-    /// the sequential path — shards = 1 or an unsupported
-    /// configuration). Lets the equality suite prove the parallel path
-    /// was genuinely exercised rather than silently falling back.
-    pub parallel_segments: u64,
 }
 
 impl RunReport {
@@ -155,14 +140,9 @@ pub(crate) fn execute(sc: &Scenario, cfg: &RunConfig) -> Executed {
         dead_after: 24,
         ..KernelConfig::default()
     };
-    let mut topo_spec = sc.topo;
-    if cfg.lossless {
-        topo_spec.loss_pm = 0;
-    }
     let mut builder = ClusterBuilder::new(sc.topo.n as usize)
-        .topology(topo_spec.build())
+        .topology(sc.topo.build())
         .seed(sc.seed)
-        .shards(cfg.shards.max(1))
         .kernel_config(kcfg)
         .migration_config(MigrationConfig {
             accept: AcceptPolicy::Always,
@@ -240,7 +220,6 @@ pub(crate) fn execute(sc: &Scenario, cfg: &RunConfig) -> Executed {
         end_us: c.now().as_micros(),
         events_applied: faults.len(),
         events_skipped: skipped,
-        parallel_segments: c.parallel_segments(),
     };
     Executed {
         report,

@@ -88,11 +88,6 @@ fn usage() -> ! {
   --corpus DIR       seed the campaign from DIR's *.seed files
   --corpus-out DIR   write newly-distilled corpus entries (delta) to DIR
   --distill DIR      write the full distilled covering corpus to DIR
-  --shards N         run every cluster event loop on N shard threads
-                     (verdicts and fingerprints are identical to N=1)
-  --lossless         zero the scenarios' link loss so the sharded
-                     executor takes its parallel path (lossy links fall
-                     back to the sequential loop)
   --replay DIR       replay DIR's *.seed files and gate on a clean pass"
     );
     std::process::exit(2)
@@ -157,8 +152,6 @@ fn parse_args() -> Args {
                 }
                 _ => usage(),
             },
-            "--shards" => args.fault.shards = next(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--lossless" => args.fault.lossless = true,
             "--out" => args.out = PathBuf::from(next(&mut it)),
             "--quiet" => args.quiet = true,
             "--guided" => args.guided = true,

@@ -29,7 +29,7 @@ pub fn rust_snippet(sc: &Scenario, cfg: &RunConfig, violation: &Violation) -> St
     out.push_str(&sc.to_text());
     out.push_str("\"#,\n    )\n    .unwrap();\n");
     out.push_str(&format!(
-        "    let cfg = demos_chaos::RunConfig {{ disable_forwarding: {}, disable_recovery: {}, ..Default::default() }};\n",
+        "    let cfg = demos_chaos::RunConfig {{ disable_forwarding: {}, disable_recovery: {} }};\n",
         cfg.disable_forwarding, cfg.disable_recovery
     ));
     out.push_str("    let report = demos_chaos::run(&scenario, &cfg);\n");

@@ -29,5 +29,5 @@ pub mod topology;
 
 pub use channel::{Bounce, ChannelConfig, ChannelStats, Endpoint, PeerState};
 pub use frame::{Frame, FrameMeta};
-pub use network::{InFlight, NetEvent, NetStats, Phys, SendKey, SimNetwork};
+pub use network::{NetEvent, NetStats, Phys, SimNetwork};
 pub use topology::{EdgeParams, Topology};

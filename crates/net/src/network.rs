@@ -81,98 +81,23 @@ pub struct NetStats {
     pub byte_hops: u64,
 }
 
-impl NetStats {
-    /// Field-wise sum: folds one shard's traffic counters into the total.
-    /// Every field is a cumulative count, so merging across disjoint
-    /// shards never double-counts.
-    pub fn merge(&mut self, o: &NetStats) {
-        self.frames_sent += o.frames_sent;
-        self.frames_dropped += o.frames_dropped;
-        self.frames_delivered += o.frames_delivered;
-        self.data_frames += o.data_frames;
-        self.ack_frames += o.ack_frames;
-        self.retransmit_frames += o.retransmit_frames;
-        self.dup_acks += o.dup_acks;
-        self.dedup_drops += o.dedup_drops;
-        self.stale_epoch_drops += o.stale_epoch_drops;
-        self.bytes_sent += o.bytes_sent;
-        self.byte_hops += o.byte_hops;
-    }
-}
-
-/// Total-order tie-break key for frames arriving at the same instant.
-///
-/// Sequentially executed clusters key every send `{era, 0, 0, 0, n}` with a
-/// single global counter `n` — byte-identical to the original scalar
-/// sequence number. The sharded executor cannot reproduce a global counter
-/// without serializing, so inside a parallel run segment it keys sends
-/// *canonically*: `{era, send-time, phase, sender, per-sender index}`,
-/// which every shard can compute locally and which reproduces the
-/// sequential transmission order (sends from distinct machines at the same
-/// instant happen in ascending machine order within a scheduler phase).
-/// The `era` field — bumped around every parallel segment — makes the two
-/// key styles comparable: later eras sort later, matching real time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SendKey {
-    /// Coarse epoch: bumped entering and leaving every parallel segment.
-    pub era: u32,
-    /// Send instant in microseconds (0 in sequential style).
-    pub at_us: u64,
-    /// Scheduler phase of the send: frame delivery < timers < cpu.
-    pub phase: u8,
-    /// Transmitting machine (0 in sequential style).
-    pub sender: u16,
-    /// Per-sender (canonical) or global (sequential) send index.
-    pub idx: u64,
-}
-
-impl SendKey {
-    /// Sequential-style key: ordered purely by the global counter `idx`.
-    pub fn sequential(era: u32, idx: u64) -> Self {
-        SendKey {
-            era,
-            at_us: 0,
-            phase: 0,
-            sender: 0,
-            idx,
-        }
-    }
-
-    /// Canonical shard-computable key.
-    pub fn canonical(era: u32, at_us: u64, phase: u8, sender: u16, idx: u64) -> Self {
-        SendKey {
-            era,
-            at_us,
-            phase,
-            sender,
-            idx,
-        }
-    }
-}
-
-/// One scheduled frame arrival. Public so the sharded executor can drain
-/// the in-flight set, partition it across shards, and restore leftovers.
+/// One scheduled frame arrival.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InFlight {
-    /// Arrival instant.
-    pub at: Time,
-    /// Tie-break key among same-instant arrivals.
-    pub key: SendKey,
-    /// Transmitting machine.
-    pub src: MachineId,
-    /// Destination machine.
-    pub dst: MachineId,
-    /// The frame itself.
-    pub frame: Frame,
+struct Arrival {
+    at: Time,
+    seq: u64,
+    src: MachineId,
+    dst: MachineId,
+    frame: Frame,
 }
 
-impl Ord for InFlight {
+impl Ord for Arrival {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.key).cmp(&(other.at, other.key))
+        (self.at, self.seq).cmp(&(other.at, other.seq))
     }
 }
 
-impl PartialOrd for InFlight {
+impl PartialOrd for Arrival {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
@@ -183,9 +108,8 @@ impl PartialOrd for InFlight {
 pub struct SimNetwork {
     topo: Topology,
     rng: StdRng,
-    heap: BinaryHeap<Reverse<InFlight>>,
+    heap: BinaryHeap<Reverse<Arrival>>,
     seq: u64,
-    era: u32,
     stats: NetStats,
     down: Vec<bool>,
     /// Edges severed by [`SimNetwork::partition`], with the parameters to
@@ -202,7 +126,6 @@ impl SimNetwork {
             rng: StdRng::seed_from_u64(seed),
             heap: BinaryHeap::new(),
             seq: 0,
-            era: 0,
             stats: NetStats::default(),
             down: vec![false; n],
             severed: std::collections::BTreeMap::new(),
@@ -260,44 +183,6 @@ impl SimNetwork {
     /// Number of frames currently in flight.
     pub fn in_flight(&self) -> usize {
         self.heap.len()
-    }
-
-    // ------------------------------------------------------------------
-    // Sharded-executor hooks
-    // ------------------------------------------------------------------
-
-    /// Current send-key era.
-    pub fn era(&self) -> u32 {
-        self.era
-    }
-
-    /// Advance to a fresh era and return it. The sharded executor bumps
-    /// the era entering *and* leaving every parallel segment so that
-    /// sequential-style keys issued between segments order after the
-    /// canonical keys issued inside them.
-    pub fn bump_era(&mut self) -> u32 {
-        self.era += 1;
-        self.era
-    }
-
-    /// Remove and return every in-flight frame (used to hand the pending
-    /// set to per-shard heaps). Order is unspecified; the `(at, key)`
-    /// ordering is total, so re-heaping reproduces delivery order.
-    pub fn drain_in_flight(&mut self) -> Vec<InFlight> {
-        self.heap.drain().map(|Reverse(a)| a).collect()
-    }
-
-    /// Return frames (typically shard-segment leftovers) to the in-flight
-    /// heap.
-    pub fn restore_in_flight(&mut self, items: impl IntoIterator<Item = InFlight>) {
-        for a in items {
-            self.heap.push(Reverse(a));
-        }
-    }
-
-    /// Fold per-shard traffic statistics into the cumulative totals.
-    pub fn absorb_stats(&mut self, shard: NetStats) {
-        self.stats.merge(&shard);
     }
 
     // ------------------------------------------------------------------
@@ -359,7 +244,7 @@ impl SimNetwork {
     fn purge_unreachable(&mut self) {
         let topo = &self.topo;
         let before = self.heap.len();
-        let kept: Vec<Reverse<InFlight>> = self
+        let kept: Vec<Reverse<Arrival>> = self
             .heap
             .drain()
             .filter(|Reverse(a)| topo.reachable(a.src, a.dst))
@@ -396,9 +281,9 @@ impl Phys for SimNetwork {
             return;
         }
         self.seq += 1;
-        self.heap.push(Reverse(InFlight {
+        self.heap.push(Reverse(Arrival {
             at: now + transit,
-            key: SendKey::sequential(self.era, self.seq),
+            seq: self.seq,
             src,
             dst,
             frame,
@@ -466,6 +351,14 @@ mod tests {
         let (_, src1, _, _) = net.pop_due(Time(10)).unwrap();
         let (_, src2, _, _) = net.pop_due(Time(10)).unwrap();
         assert_eq!((src1, src2), (m(1), m(2)));
+        // Transmission order, not sender id: m2 sends first, so m2's frame
+        // is delivered first even though m1 < m2.
+        net.transmit(Time(20), m(2), m(0), data(9));
+        net.transmit(Time(20), m(1), m(0), data(10));
+        let (_, src1, _, f1) = net.pop_due(Time(30)).unwrap();
+        let (_, src2, _, f2) = net.pop_due(Time(30)).unwrap();
+        assert_eq!((src1, src2), (m(2), m(1)));
+        assert_eq!((f1, f2), (data(9), data(10)));
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub struct EdgeParams {
 impl Default for EdgeParams {
     fn default() -> Self {
         // Roughly a few-Mbit/s local network of early-80s vintage: 500 us
-        // switching latency, ~2 MB/s, lossless unless configured otherwise.
+        // switching latency, ~2 MB/s, loss-free unless configured otherwise.
         EdgeParams {
             latency: Duration::from_micros(500),
             ns_per_byte: 500,
@@ -45,7 +45,7 @@ impl Default for EdgeParams {
 }
 
 impl EdgeParams {
-    /// A fast, lossless LAN edge (useful in unit tests).
+    /// A fast, loss-free LAN edge (useful in unit tests).
     pub fn fast() -> Self {
         EdgeParams {
             latency: Duration::from_micros(50),
@@ -89,13 +89,6 @@ enum Repr {
 pub struct Topology {
     n: usize,
     repr: Repr,
-    /// Bumped on every mutation; lets callers cache derived structures
-    /// (e.g. shard partition plans) and cheaply detect staleness.
-    version: u64,
-    /// Minimum latency over all installed edges (`None` when edgeless).
-    min_latency: Option<Duration>,
-    /// Maximum loss probability over all installed edges.
-    max_loss: f64,
 }
 
 impl Topology {
@@ -107,9 +100,6 @@ impl Topology {
                 edges: vec![None; n * n],
                 routes: vec![Route::default(); n * n],
             },
-            version: 0,
-            min_latency: None,
-            max_loss: 0.0,
         };
         t.recompute();
         t
@@ -121,15 +111,10 @@ impl Topology {
     /// machines cost nothing to wire up. Editing an edge afterwards
     /// (fault injection) materializes the explicit matrix.
     pub fn full_mesh(n: usize, params: EdgeParams) -> Self {
-        let mut t = Topology {
+        Topology {
             n,
             repr: Repr::Uniform { params },
-            version: 0,
-            min_latency: None,
-            max_loss: 0.0,
-        };
-        t.refresh_summary();
-        t
+        }
     }
 
     /// A line `m0 - m1 - … - m(n-1)`: maximizes multi-hop routing, used by
@@ -179,34 +164,6 @@ impl Topology {
     /// All machine ids.
     pub fn machines(&self) -> impl Iterator<Item = MachineId> + '_ {
         (0..self.n as u16).map(MachineId)
-    }
-
-    /// Mutation counter: changes iff routing behavior may have changed.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Minimum fixed latency over all installed edges, `None` when the
-    /// topology has no edges. The conservative parallel executor derives
-    /// its lookahead from this.
-    pub fn min_edge_latency(&self) -> Option<Duration> {
-        self.min_latency
-    }
-
-    /// Maximum loss probability over all installed edges. Loss draws come
-    /// from one global RNG whose draw order is execution-order dependent,
-    /// so any lossy edge pins the cluster to the sequential path.
-    pub fn max_edge_loss(&self) -> f64 {
-        self.max_loss
-    }
-
-    /// The shared edge parameters when this topology is still a uniform
-    /// complete mesh (never edited); `None` once materialized to dense.
-    pub fn uniform(&self) -> Option<EdgeParams> {
-        match &self.repr {
-            Repr::Uniform { params } if self.n >= 2 => Some(*params),
-            _ => None,
-        }
     }
 
     fn idx(&self, a: MachineId, b: MachineId) -> usize {
@@ -278,43 +235,14 @@ impl Topology {
         }
     }
 
-    /// Recompute routes (dense) and refresh the edge summary + version.
-    fn recompute(&mut self) {
-        if let Repr::Dense { edges, routes } = &mut self.repr {
-            Self::recompute_dense(self.n, edges, routes);
-        }
-        self.refresh_summary();
-    }
-
-    fn refresh_summary(&mut self) {
-        self.version += 1;
-        match &self.repr {
-            Repr::Uniform { params } => {
-                self.min_latency = (self.n >= 2).then_some(params.latency);
-                self.max_loss = if self.n >= 2 { params.loss } else { 0.0 };
-            }
-            Repr::Dense { edges, .. } => {
-                let mut min = None;
-                let mut loss = 0.0f64;
-                for e in edges.iter().flatten() {
-                    min = Some(match min {
-                        None => e.latency,
-                        Some(m) if e.latency < m => e.latency,
-                        Some(m) => m,
-                    });
-                    if e.loss > loss {
-                        loss = e.loss;
-                    }
-                }
-                self.min_latency = min;
-                self.max_loss = loss;
-            }
-        }
-    }
-
     /// Floyd–Warshall over fixed latency; ties broken towards fewer hops
-    /// then lower intermediate index, keeping routes deterministic.
-    fn recompute_dense(n: usize, edges: &[Option<EdgeParams>], routes: &mut [Route]) {
+    /// then lower intermediate index, keeping routes deterministic. A
+    /// uniform mesh keeps no routes.
+    fn recompute(&mut self) {
+        let n = self.n;
+        let Repr::Dense { edges, routes } = &mut self.repr else {
+            return;
+        };
         const INF: u64 = u64::MAX / 4;
         let mut dist = vec![INF; n * n];
         let mut next: Vec<Option<usize>> = vec![None; n * n];
@@ -547,11 +475,11 @@ mod tests {
             loss: 0.25,
         };
         let uni = Topology::full_mesh(6, params);
-        assert!(uni.uniform().is_some());
+        assert!(matches!(uni.repr, Repr::Uniform { .. }));
         let mut dense = Topology::full_mesh(6, params);
         // Editing any edge (even rewriting it identically) materializes.
         dense.set_edge(m(0), m(1), params);
-        assert!(dense.uniform().is_none());
+        assert!(matches!(dense.repr, Repr::Dense { .. }));
         for a in 0..6u16 {
             for b in 0..6u16 {
                 assert_eq!(uni.reachable(m(a), m(b)), dense.reachable(m(a), m(b)));
@@ -562,44 +490,15 @@ mod tests {
                 assert!((lu - ld).abs() < 1e-12);
             }
         }
-        assert_eq!(uni.min_edge_latency(), dense.min_edge_latency());
-        assert!((uni.max_edge_loss() - dense.max_edge_loss()).abs() < 1e-12);
     }
 
     /// Clearing an edge on a uniform mesh materializes and reroutes.
     #[test]
     fn uniform_materializes_on_clear() {
         let mut t = Topology::full_mesh(4, EdgeParams::default());
-        let v0 = t.version();
         t.clear_edge(m(0), m(1));
-        assert!(t.version() > v0, "edits bump the version");
-        assert!(t.uniform().is_none());
+        assert!(matches!(t.repr, Repr::Dense { .. }));
         assert_eq!(t.hops(m(0), m(1)), 2, "reroutes around the severed edge");
         assert!(t.reachable(m(0), m(1)));
-    }
-
-    /// Edge summaries track the extremes over installed edges.
-    #[test]
-    fn edge_summaries() {
-        assert_eq!(Topology::new(3).min_edge_latency(), None);
-        let mut t = Topology::line(3, EdgeParams::default());
-        assert_eq!(t.min_edge_latency(), Some(Duration::from_micros(500)));
-        assert_eq!(t.max_edge_loss(), 0.0);
-        t.set_edge(
-            m(0),
-            m(2),
-            EdgeParams {
-                latency: Duration::from_micros(40),
-                ns_per_byte: 0,
-                loss: 0.125,
-            },
-        );
-        assert_eq!(t.min_edge_latency(), Some(Duration::from_micros(40)));
-        assert!((t.max_edge_loss() - 0.125).abs() < 1e-12);
-        // A single-machine "mesh" has no edges at all.
-        assert_eq!(
-            Topology::full_mesh(1, EdgeParams::default()).min_edge_latency(),
-            None
-        );
     }
 }

@@ -53,7 +53,7 @@ impl TimeSeries {
 #[derive(Debug, Clone)]
 pub struct SeriesStore {
     cadence: demos_types::Duration,
-    next_due: Time,
+    due_at: Time,
     series: BTreeMap<String, TimeSeries>,
 }
 
@@ -64,7 +64,7 @@ impl SeriesStore {
         assert!(cadence.as_micros() > 0, "sampling cadence must be positive");
         SeriesStore {
             cadence,
-            next_due: Time::ZERO,
+            due_at: Time::ZERO,
             series: BTreeMap::new(),
         }
     }
@@ -76,15 +76,7 @@ impl SeriesStore {
 
     /// Whether a sample is due at `now`.
     pub fn due(&self, now: Time) -> bool {
-        now >= self.next_due
-    }
-
-    /// The next instant at which a sample becomes due. The sharded
-    /// executor clips its parallel windows here so samples are taken at
-    /// the same virtual instants, in the same machine order, as the
-    /// sequential loop.
-    pub fn next_due(&self) -> Time {
-        self.next_due
+        now >= self.due_at
     }
 
     /// Record one machine's registry at `now`. The caller samples every
@@ -104,7 +96,7 @@ impl SeriesStore {
     pub fn advance(&mut self, now: Time) {
         let c = self.cadence.as_micros();
         let next = (now.as_micros() / c + 1) * c;
-        self.next_due = Time::from_micros(next);
+        self.due_at = Time::from_micros(next);
     }
 
     /// Fetch one series by key (`"m0.runq_depth"`, …).

@@ -32,7 +32,6 @@ use demos_types::{
 use demos_obs::FlightRecorder;
 
 use crate::flight::{self, DEFAULT_RECORDER_CAPACITY};
-use crate::partition::ShardPlan;
 use crate::recovery::{RecoveryConfig, RecoveryEpisode, RecoveryManager};
 use crate::trace::Trace;
 
@@ -47,7 +46,6 @@ pub struct ClusterBuilder {
     sample: Option<Duration>,
     recovery: Option<RecoveryConfig>,
     recorder_capacity: usize,
-    shards: usize,
 }
 
 impl ClusterBuilder {
@@ -63,7 +61,6 @@ impl ClusterBuilder {
             sample: None,
             recovery: None,
             recorder_capacity: DEFAULT_RECORDER_CAPACITY,
-            shards: 1,
         }
     }
 
@@ -119,17 +116,6 @@ impl ClusterBuilder {
     /// `0` disables it entirely.
     pub fn recorder_capacity(mut self, records: usize) -> Self {
         self.recorder_capacity = records;
-        self
-    }
-
-    /// Run the event loop on `s` worker threads (shards) where the
-    /// configuration permits (see [`crate::shard`]). `1` (the default)
-    /// is the plain sequential loop. Results are bit-identical across
-    /// shard counts; configurations the conservative executor cannot
-    /// shard safely — lossy links, automatic recovery, zero-latency
-    /// edges — silently fall back to sequential execution.
-    pub fn shards(mut self, s: usize) -> Self {
-        self.shards = s.max(1);
         self
     }
 
@@ -194,10 +180,6 @@ impl ClusterBuilder {
             cpu_scratch: Vec::new(),
             fired_scratch: Vec::new(),
             step_stats: StepStats::default(),
-            shards: self.shards,
-            send_idx: vec![0; n],
-            plan_cache: None,
-            parallel_segments: 0,
         };
         // Prime the event index with each node's boot state (e.g. the
         // heartbeat schedules armed by `watch_peers` above).
@@ -212,8 +194,8 @@ impl ClusterBuilder {
 /// retransmissions, heartbeats, migration timeouts) and CPU completions
 /// share one heap; the kind is part of the entry so validity can be
 /// checked per kind.
-pub(crate) const EV_TIMER: u8 = 0;
-pub(crate) const EV_CPU: u8 = 1;
+const EV_TIMER: u8 = 0;
+const EV_CPU: u8 = 1;
 
 /// Instrumentation for the event loop: how many nodes each phase of
 /// [`Cluster::step`] actually touches. The scheduler-cost regression test
@@ -222,10 +204,6 @@ pub(crate) const EV_CPU: u8 = 1;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StepStats {
     /// Completed [`Cluster::step`] calls that advanced the simulation.
-    /// **Mode-dependent**: the sharded executor counts one step per
-    /// shard per local instant, so totals differ from the sequential
-    /// loop's global step count. The visit counters below are exact in
-    /// both modes — equality tests compare those, never `steps`.
     pub steps: u64,
     /// Nodes examined as CPU candidates by the run-CPUs phase.
     pub cpu_visits: u64,
@@ -244,22 +222,22 @@ impl StepStats {
 
 /// The simulated cluster.
 pub struct Cluster {
-    pub(crate) now: Time,
-    pub(crate) nodes: Vec<Node>,
-    pub(crate) net: SimNetwork,
-    pub(crate) cpu_busy_until: Vec<Time>,
+    now: Time,
+    nodes: Vec<Node>,
+    net: SimNetwork,
+    cpu_busy_until: Vec<Time>,
     /// Per-machine CPU degradation factor in parts-per-million
     /// (1_000_000 = healthy). Integer so scaled costs are exact.
-    pub(crate) cpu_factor_ppm: Vec<u64>,
-    pub(crate) cpu_busy_total: Vec<Duration>,
-    pub(crate) crashed: Vec<bool>,
-    pub(crate) trace: Trace,
+    cpu_factor_ppm: Vec<u64>,
+    cpu_busy_total: Vec<Duration>,
+    crashed: Vec<bool>,
+    trace: Trace,
     outbox: Outbox,
     /// Per-machine black boxes: bounded rings of the most recent kernel
     /// events, kept even when the full [`Trace`] is disabled.
-    pub(crate) recorders: Vec<FlightRecorder>,
+    recorders: Vec<FlightRecorder>,
     registry: Arc<Registry>,
-    pub(crate) series: Option<SeriesStore>,
+    series: Option<SeriesStore>,
     migration: MigrationConfig,
     recovery: Option<RecoveryManager>,
     crash_log: BTreeMap<MachineId, Time>,
@@ -267,13 +245,13 @@ pub struct Cluster {
     /// node deadlines and CPU completions, lazily invalidated (see
     /// [`Cluster::event_valid`]). Makes finding the next event an
     /// O(log n) peek instead of a scan over every machine.
-    pub(crate) events: BinaryHeap<Reverse<(Time, u8, usize)>>,
+    events: BinaryHeap<Reverse<(Time, u8, usize)>>,
     /// Authoritative cache of each node's earliest deadline; a TIMER heap
     /// entry is live iff it matches this cache.
-    pub(crate) node_deadline: Vec<Option<Time>>,
+    node_deadline: Vec<Option<Time>>,
     /// Nodes whose run queue may hold work, maintained incrementally —
     /// `run_cpus` walks this set instead of `0..nodes.len()`.
-    pub(crate) runnable: BTreeSet<usize>,
+    runnable: BTreeSet<usize>,
     /// Nodes handed out via [`Cluster::node_mut`] since the last event-loop
     /// entry; their cached state is recomputed before it is trusted.
     dirty: Vec<usize>,
@@ -281,18 +259,7 @@ pub struct Cluster {
     /// so the hot loop allocates nothing.
     cpu_scratch: Vec<usize>,
     fired_scratch: Vec<usize>,
-    pub(crate) step_stats: StepStats,
-    /// Requested worker-thread count ([`ClusterBuilder::shards`]).
-    shards: usize,
-    /// Per-machine canonical send counters for the sharded executor
-    /// (monotone across segments; only key *order* matters).
-    pub(crate) send_idx: Vec<u64>,
-    /// Shard plan memoised against (topology version, shard count).
-    plan_cache: Option<(usize, ShardPlan)>,
-    /// How many parallel segments have actually executed — lets tests
-    /// assert the parallel path was exercised rather than silently
-    /// falling back to sequential.
-    pub(crate) parallel_segments: u64,
+    step_stats: StepStats,
 }
 
 impl Cluster {
@@ -773,7 +740,7 @@ impl Cluster {
 
     /// Scale an activation cost by a ppm factor, exactly, in integer
     /// microseconds: round up, saturate at `u64::MAX` µs.
-    pub(crate) fn scale(cost: Duration, ppm: u64) -> Duration {
+    fn scale(cost: Duration, ppm: u64) -> Duration {
         let micros = (cost.as_micros() as u128 * ppm as u128).div_ceil(1_000_000);
         Duration::from_micros(micros.min(u64::MAX as u128) as u64)
     }
@@ -782,7 +749,7 @@ impl Cluster {
     /// a mutation, pushing fresh heap entries on change. Lazy
     /// invalidation: entries obsoleted here are not removed, they are
     /// discarded when popped (see [`Cluster::event_valid`]).
-    pub(crate) fn touch_node(&mut self, i: usize) {
+    fn touch_node(&mut self, i: usize) {
         if self.crashed[i] {
             self.node_deadline[i] = None;
             self.runnable.remove(&i);
@@ -855,7 +822,7 @@ impl Cluster {
 
     /// Re-index every node mutated through [`Cluster::node_mut`] since the
     /// last event-loop pass.
-    pub(crate) fn flush_dirty(&mut self) {
+    fn flush_dirty(&mut self) {
         while let Some(i) = self.dirty.pop() {
             self.touch_node(i);
         }
@@ -867,7 +834,7 @@ impl Cluster {
     /// delivery — which only happens in `step` — can make *another* node
     /// runnable, so a single pass reaches the same fixpoint the old
     /// scan-until-no-progress loop did, in the same order.
-    pub(crate) fn run_cpus(&mut self) {
+    fn run_cpus(&mut self) {
         self.flush_dirty();
         let mut candidates = std::mem::take(&mut self.cpu_scratch);
         candidates.clear();
@@ -1210,55 +1177,8 @@ impl Cluster {
         });
     }
 
-    /// Whether the current configuration can run on the conservative
-    /// sharded executor. Deliberately independent of the shard *count*
-    /// (beyond it being > 1), so every parallel shard count takes the
-    /// identical code path: lossy links draw from one global RNG whose
-    /// draw order is execution order, the recovery manager runs
-    /// cross-machine passes inside the step, and zero-latency edges
-    /// admit no positive lookahead — each forces the sequential loop.
-    pub fn parallel_ready(&self) -> bool {
-        let topo = self.net.topology();
-        self.shards > 1
-            && self.nodes.len() >= 2
-            && self.recovery.is_none()
-            && topo.max_edge_loss() <= 0.0
-            && topo.min_edge_latency() != Some(Duration::ZERO)
-    }
-
-    /// How many parallel segments the sharded executor has run. Zero
-    /// means every run so far took the sequential path (shards = 1 or an
-    /// unsupported configuration).
-    pub fn parallel_segments(&self) -> u64 {
-        self.parallel_segments
-    }
-
-    /// The shard plan for the current configuration, or `None` when the
-    /// sequential loop must be used. Memoised against the topology
-    /// version, so fault-free steady state never re-partitions.
-    fn parallel_plan(&mut self) -> Option<ShardPlan> {
-        if !self.parallel_ready() {
-            return None;
-        }
-        let topo = self.net.topology();
-        let fresh = !self
-            .plan_cache
-            .as_ref()
-            .is_some_and(|(s, p)| *s == self.shards && p.topo_version == topo.version());
-        if fresh {
-            let plan = ShardPlan::new(self.nodes.len(), self.shards, topo);
-            self.plan_cache = Some((self.shards, plan));
-        }
-        let plan = &self.plan_cache.as_ref().expect("just cached").1;
-        (plan.shards > 1).then(|| plan.clone())
-    }
-
     /// Run until virtual time `t` (or quiescence, whichever first).
     pub fn run_until(&mut self, t: Time) {
-        if let Some(plan) = self.parallel_plan() {
-            crate::shard::run_until_parallel(self, t, &plan);
-            return;
-        }
         while self.now < t {
             if !self.step() {
                 return;
@@ -1277,9 +1197,6 @@ impl Cluster {
     /// Run until the cluster is quiescent or `limit` virtual time has
     /// passed; returns the finishing time.
     pub fn run_quiescent(&mut self, limit: Duration) -> Time {
-        if let Some(plan) = self.parallel_plan() {
-            return crate::shard::run_quiescent_parallel(self, limit, &plan);
-        }
         let deadline = self.now + limit;
         loop {
             if self.now >= deadline || !self.step() {

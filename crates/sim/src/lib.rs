@@ -9,9 +9,6 @@
 //!   processes from machines the failure detector confirmed dead;
 //! * [`balance`] — drives `demos-policy` decision rules against the live
 //!   cluster, playing the process manager's monitoring role;
-//! * [`partition`] / [`shard`] — contiguous shard plans and the
-//!   conservative parallel (PDES) executor that runs them, one worker
-//!   thread per shard, bit-identical to the sequential loop;
 //! * [`trace`] — the event log experiments are reconstructed from;
 //! * [`span`] — per-message journey reconstruction from correlation ids,
 //!   and per-migration lifecycle spans (the §6 phase profiler);
@@ -33,11 +30,9 @@ pub mod coverage;
 pub mod export;
 pub mod flight;
 pub mod metrics;
-pub mod partition;
 pub mod programs;
 pub mod recovery;
 pub mod report;
-pub mod shard;
 pub mod span;
 pub mod trace;
 
@@ -48,7 +43,6 @@ pub use coverage::{coverage_of, features_of_trace};
 pub use demos_obs::Histogram;
 pub use export::machine_registry;
 pub use flight::DEFAULT_RECORDER_CAPACITY;
-pub use partition::ShardPlan;
 pub use recovery::{RecoveryConfig, RecoveryEpisode, RecoveryManager, RecoveryStats};
 pub use report::{migrations_of, render, MigrationReport};
 pub use span::{
@@ -62,7 +56,6 @@ pub mod prelude {
     pub use crate::balance::{snapshot, PolicyDriver};
     pub use crate::boot::{boot_system, spawn_fs_clients, spawn_shell, BootConfig, SystemHandles};
     pub use crate::cluster::{Cluster, ClusterBuilder, StepStats};
-    pub use crate::partition::ShardPlan;
     pub use crate::programs::{self, wl};
     pub use crate::recovery::{RecoveryConfig, RecoveryEpisode, RecoveryStats};
     pub use crate::trace::Trace;
