@@ -20,8 +20,13 @@
 //!   messages and frames, never inside the wire encoding.
 //! * [`error`] — error types shared across the workspace.
 //!
-//! Nothing in this crate allocates per-message beyond the payload buffer
-//! itself; headers encode into caller-provided [`bytes::BytesMut`].
+//! Per-message allocation: [`wire::Wire::encode`] appends to a
+//! caller-provided [`bytes::BytesMut`]. [`wire::Wire::to_bytes`] allocates
+//! the one output buffer (sized exactly for [`message::Message`] and
+//! [`proto::MoveDataMsg`]) plus the shared handle [`bytes::Bytes`] keeps
+//! it in. Decoding a [`message::Message`] allocates only its link vector,
+//! and only when it carries links; the payload is a zero-copy view of the
+//! received buffer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

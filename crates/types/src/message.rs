@@ -276,6 +276,14 @@ impl Wire for Message {
             corr: CorrId::NONE,
         })
     }
+
+    fn wire_len(&self) -> usize {
+        self.wire_size()
+    }
+
+    fn to_bytes(&self) -> Bytes {
+        crate::wire::to_bytes_sized(self)
+    }
 }
 
 #[cfg(test)]

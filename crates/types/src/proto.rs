@@ -601,6 +601,22 @@ impl Wire for MoveDataMsg {
             }),
         }
     }
+
+    fn wire_len(&self) -> usize {
+        1 + match self {
+            MoveDataMsg::ReadReq { .. } | MoveDataMsg::WriteReq { .. } => {
+                2 + ProcessId::WIRE_LEN + 1 + 4 + 4
+            }
+            MoveDataMsg::Data { bytes, .. } => 2 + 4 + 4 + bytes.len(),
+            MoveDataMsg::Ack { .. } => 2 + 4,
+            MoveDataMsg::Done { .. } => 2 + 1 + 4,
+            MoveDataMsg::Abort { .. } => 2 + 1,
+        }
+    }
+
+    fn to_bytes(&self) -> Bytes {
+        wire::to_bytes_sized(self)
+    }
 }
 
 /// Link maintenance: forwarding by-products (§4–5).

@@ -61,17 +61,22 @@ pub trait Wire: Sized {
 
     /// Length in bytes that [`Wire::encode`] will append.
     ///
-    /// The default implementation encodes into a scratch buffer; fixed-size
-    /// types override it with a constant.
+    /// The default implementation encodes into a scratch buffer, so it
+    /// costs a whole encode; fixed-size types override it with a constant
+    /// and the per-packet types ([`crate::Message`],
+    /// [`crate::proto::MoveDataMsg`]) with arithmetic.
     fn wire_len(&self) -> usize {
         let mut buf = BytesMut::new();
         self.encode(&mut buf);
         buf.len()
     }
 
-    /// Encode into a fresh, frozen buffer.
+    /// Encode into a fresh, frozen buffer, encoding exactly once: the
+    /// buffer grows as [`Wire::encode`] appends. The per-packet types
+    /// override this to size the buffer from their arithmetic
+    /// [`Wire::wire_len`] first.
     fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.wire_len());
+        let mut buf = BytesMut::new();
         self.encode(&mut buf);
         buf.freeze()
     }
@@ -88,6 +93,14 @@ pub trait Wire: Sized {
         }
         Ok(v)
     }
+}
+
+/// [`Wire::to_bytes`] for types whose [`Wire::wire_len`] is arithmetic:
+/// one allocation of exactly the encoded length, then one encode.
+pub(crate) fn to_bytes_sized<T: Wire>(v: &T) -> Bytes {
+    let mut buf = BytesMut::with_capacity(v.wire_len());
+    v.encode(&mut buf);
+    buf.freeze()
 }
 
 /// Encode then decode a value — test helper used across the workspace.

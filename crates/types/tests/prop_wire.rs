@@ -2,6 +2,7 @@
 //! decoding arbitrary garbage never panics.
 
 use bytes::Bytes;
+use demos_types::message::{MAX_CARRIED_LINKS, MAX_PAYLOAD};
 use demos_types::proto::{AreaSel, KernelOp, LinkMaintMsg, MigrateMsg, MoveDataMsg, RejectReason};
 use demos_types::{
     DataArea, Link, LinkAttrs, MachineId, Message, MsgFlags, MsgHeader, ProcessAddress, ProcessId,
@@ -66,8 +67,8 @@ fn arb_header() -> impl Strategy<Value = MsgHeader> {
 fn arb_message() -> impl Strategy<Value = Message> {
     (
         arb_header(),
-        proptest::collection::vec(arb_link(), 0..8),
-        proptest::collection::vec(any::<u8>(), 0..512),
+        proptest::collection::vec(arb_link(), 0..MAX_CARRIED_LINKS + 1),
+        proptest::collection::vec(any::<u8>(), 0..MAX_PAYLOAD + 1),
         any::<u64>(),
     )
         .prop_map(|(header, links, payload, corr)| Message {
@@ -76,6 +77,37 @@ fn arb_message() -> impl Strategy<Value = Message> {
             payload: Bytes::from(payload),
             corr: demos_types::CorrId(corr),
         })
+}
+
+/// The encoded length, `wire_len` and `wire_size` agree; the E1–E3 byte
+/// counts and `to_bytes`' buffer sizing both rest on them.
+#[test]
+fn message_len_at_the_legal_extremes() {
+    let pid = ProcessId {
+        creating_machine: MachineId(1),
+        local_uid: 2,
+    };
+    let link = Link::to(pid.at(MachineId(3)));
+    for links in [0, MAX_CARRIED_LINKS] {
+        for payload in [0, MAX_PAYLOAD] {
+            let msg = Message {
+                header: MsgHeader {
+                    dest: pid.at(MachineId(3)),
+                    src: pid,
+                    src_machine: MachineId(1),
+                    msg_type: 7,
+                    flags: MsgFlags::NONE,
+                    hops: 0,
+                },
+                links: vec![link; links],
+                payload: Bytes::from(vec![0x5a; payload]),
+                corr: demos_types::CorrId::NONE,
+            };
+            let n = msg.to_bytes().len();
+            assert_eq!(n, msg.wire_len(), "{links} links, {payload} B");
+            assert_eq!(n, msg.wire_size(), "{links} links, {payload} B");
+        }
+    }
 }
 
 proptest! {
@@ -109,6 +141,7 @@ proptest! {
         prop_assert_eq!(back.header, msg.header);
         prop_assert_eq!(back.links.len(), msg.links.len());
         prop_assert_eq!(msg.wire_size(), msg.to_bytes().len());
+        prop_assert_eq!(msg.wire_len(), msg.to_bytes().len());
         prop_assert_eq!(&back.payload, &msg.payload);
         // The correlation id never crosses the wire: whatever id the
         // original carried, the decoded message is unstamped and the
@@ -141,9 +174,25 @@ proptest! {
     }
 
     #[test]
-    fn move_data_roundtrip(op in any::<u16>(), pid in arb_pid(), off in any::<u32>(), len in any::<u32>()) {
+    fn move_data_roundtrip(
+        op in any::<u16>(),
+        pid in arb_pid(),
+        off in any::<u32>(),
+        len in any::<u32>(),
+        data in proptest::collection::vec(any::<u8>(), 0..MAX_PAYLOAD + 1),
+    ) {
+        let mut msgs = vec![
+            MoveDataMsg::Data { op, seq: off, bytes: Bytes::from(data) },
+            MoveDataMsg::Ack { op, seq: len },
+            MoveDataMsg::Done { op, status: op as u8, total: len },
+            MoveDataMsg::Abort { op, reason: (op >> 8) as u8 },
+        ];
         for sel in [AreaSel::LinkArea, AreaSel::Resident, AreaSel::Swappable, AreaSel::Image] {
-            let m = MoveDataMsg::ReadReq { op, target: pid, sel, offset: off, len };
+            msgs.push(MoveDataMsg::ReadReq { op, target: pid, sel, offset: off, len });
+            msgs.push(MoveDataMsg::WriteReq { op, target: pid, sel, offset: off, len });
+        }
+        for m in msgs {
+            prop_assert_eq!(m.to_bytes().len(), m.wire_len());
             prop_assert_eq!(demos_types::wire::roundtrip(&m).unwrap(), m);
         }
     }

@@ -7,6 +7,25 @@
 //! The build environment has no network access, so external crates are
 //! replaced by shims that keep the public surface source-compatible.
 //!
+//! # Cost model
+//!
+//! A [`Bytes`] is a shared owned buffer (`Arc<Vec<u8>>`) plus a range, so
+//! these take ownership or share storage and never copy the contents:
+//!
+//! * `Bytes::from(Vec<u8>)`, `Bytes::from(Box<[u8]>)`, `Bytes::from(String)`
+//!   and [`BytesMut::freeze`];
+//! * `clone`, [`Bytes::slice`], [`Bytes::split_to`] and [`Buf::advance`];
+//! * [`Bytes::new`] and `Bytes::default()`, which share one empty buffer
+//!   and do not allocate after the first call.
+//!
+//! These copy the contents into a fresh allocation:
+//!
+//! * [`Bytes::copy_from_slice`] and [`Bytes::to_vec`], as in the real crate;
+//! * [`Bytes::from_static`], `From<&'static [u8]>` and `From<&'static str>`.
+//!   **This differs from the real crate**, which borrows the static slice.
+//!   No hot path builds `Bytes` from statics, so the shim keeps one
+//!   storage representation instead of two.
+//!
 //! [`bytes`]: https://docs.rs/bytes
 
 #![forbid(unsafe_code)]
@@ -15,7 +34,7 @@ use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Bound, Deref, DerefMut, RangeBounds};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A cheaply cloneable, contiguous, immutable slice of memory.
 ///
@@ -23,24 +42,27 @@ use std::sync::Arc;
 /// [`Bytes::split_to`] produce zero-copy sub-views.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
 
 impl Bytes {
-    /// An empty `Bytes`.
+    /// An empty `Bytes`. Every empty `Bytes` made here shares one
+    /// buffer, so this does not allocate.
     pub fn new() -> Self {
+        static EMPTY: OnceLock<Arc<Vec<u8>>> = OnceLock::new();
         Bytes {
-            data: Arc::from(&[][..]),
+            data: Arc::clone(EMPTY.get_or_init(|| Arc::new(Vec::new()))),
             start: 0,
             end: 0,
         }
     }
 
-    /// Wrap a static byte slice without copying.
+    /// A `Bytes` holding the contents of a static slice.
+    ///
+    /// Unlike the real crate, this copies `bytes` into a fresh buffer.
     pub fn from_static(bytes: &'static [u8]) -> Self {
-        // Arc::from copies; for a shim that is fine — semantics match.
         Bytes::from(bytes.to_vec())
     }
 
@@ -192,37 +214,36 @@ impl PartialEq<Vec<u8>> for Bytes {
     }
 }
 
+/// Takes ownership of the vector's buffer; the contents are not copied.
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let len = v.len();
         Bytes {
-            data: Arc::from(v.into_boxed_slice()),
+            data: Arc::new(v),
             start: 0,
             end: len,
         }
     }
 }
 
+/// Takes ownership of the boxed buffer; the contents are not copied.
 impl From<Box<[u8]>> for Bytes {
     fn from(v: Box<[u8]>) -> Self {
-        let len = v.len();
-        Bytes {
-            data: Arc::from(v),
-            start: 0,
-            end: len,
-        }
+        Bytes::from(Vec::from(v))
     }
 }
 
+/// Copies the slice (see [`Bytes::from_static`]).
 impl From<&'static [u8]> for Bytes {
     fn from(v: &'static [u8]) -> Self {
-        Bytes::from(v.to_vec())
+        Bytes::from_static(v)
     }
 }
 
+/// Copies the string (see [`Bytes::from_static`]).
 impl From<&'static str> for Bytes {
     fn from(v: &'static str) -> Self {
-        Bytes::from(v.as_bytes().to_vec())
+        Bytes::from_static(v.as_bytes())
     }
 }
 
@@ -291,7 +312,8 @@ impl BytesMut {
         self.buf.extend_from_slice(extend)
     }
 
-    /// Convert into an immutable [`Bytes`].
+    /// Convert into an immutable [`Bytes`], taking over the buffer
+    /// without copying it.
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
     }
@@ -475,13 +497,19 @@ mod tests {
 
     #[test]
     fn slice_and_split_share_storage() {
-        let b = Bytes::from(vec![0, 1, 2, 3, 4, 5]);
+        let mut m = BytesMut::new();
+        m.extend_from_slice(&[0, 1, 2, 3, 4, 5]);
+        let b = m.freeze();
+        let base = b.as_ptr();
         let s = b.slice(2..5);
         assert_eq!(&s[..], &[2, 3, 4]);
+        assert_eq!(s.as_ptr(), base.wrapping_add(2));
         let mut rest = b.clone();
         let head = rest.split_to(2);
         assert_eq!(&head[..], &[0, 1]);
         assert_eq!(&rest[..], &[2, 3, 4, 5]);
+        assert_eq!(head.as_ptr(), base);
+        assert_eq!(rest.as_ptr(), base.wrapping_add(2));
         assert_eq!(b.len(), 6, "original untouched");
     }
 
@@ -490,6 +518,45 @@ mod tests {
         let a = Bytes::from(vec![1, 2, 3]);
         let b = Bytes::from(vec![0, 1, 2, 3]).slice(1..);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn from_vec_and_box_keep_the_buffer() {
+        let v = vec![1u8, 2, 3, 4];
+        let p = v.as_ptr();
+        assert_eq!(Bytes::from(v).as_ptr(), p);
+        let b: Box<[u8]> = vec![5u8, 6, 7].into_boxed_slice();
+        let p = b.as_ptr();
+        assert_eq!(Bytes::from(b).as_ptr(), p);
+        let s = String::from("demos");
+        let p = s.as_ptr();
+        assert_eq!(Bytes::from(s).as_ptr(), p);
+    }
+
+    #[test]
+    fn freeze_keeps_the_buffer() {
+        let mut m = BytesMut::with_capacity(64);
+        m.put_u64(0x0102_0304_0506_0708);
+        m.put_slice(&[9; 24]);
+        let p = m.as_ptr();
+        let b = m.freeze();
+        assert_eq!(b.as_ptr(), p);
+        assert_eq!(b.clone().as_ptr(), p, "clone shares");
+    }
+
+    #[test]
+    fn empty_bytes_share_storage() {
+        let (a, b) = (Bytes::new(), Bytes::default());
+        assert!(Arc::ptr_eq(&a.data, &b.data));
+        assert_eq!(a.as_ptr(), b.as_ptr());
+        assert!(a.is_empty());
+    }
+
+    #[test]
+    fn bytes_is_send_and_sync() {
+        fn check<T: Send + Sync>() {}
+        check::<Bytes>();
+        check::<BytesMut>();
     }
 
     #[test]
