@@ -229,8 +229,9 @@ fn campaign_artifacts_are_byte_identical_across_jobs() {
 }
 
 /// The distilled corpus is the campaign's executable summary: replaying
-/// `tests/corpus/distilled/` must pass every invariant and re-cover
-/// every feature recorded in its `FEATURES.txt` manifest.
+/// `tests/corpus/distilled/` must pass every invariant, reproduce the
+/// fingerprint each seed is named by, and re-cover every feature
+/// recorded in its `FEATURES.txt` manifest.
 #[test]
 fn distilled_corpus_recovers_its_manifest() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus/distilled");
@@ -257,6 +258,20 @@ fn distilled_corpus_recovers_its_manifest() {
             "{}: {}",
             path.display(),
             report.violation.unwrap()
+        );
+        // Each seed is named by its run fingerprint: a change that
+        // reorders or alters trace events must show up here.
+        let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
+        let fp = stem
+            .strip_prefix("distilled-")
+            .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+            .unwrap_or_else(|| panic!("{}: not named distilled-<fp>", path.display()));
+        assert_eq!(
+            report.fingerprint,
+            fp,
+            "{}: fingerprint {:016x} differs from its name",
+            path.display(),
+            report.fingerprint
         );
         got.merge(&cov);
     }
