@@ -23,9 +23,13 @@ use std::collections::BTreeMap;
 
 use demos_kernel::{Kernel, MigrationPhase, Outbox, TraceEvent};
 use demos_net::Phys;
-use demos_types::proto::{AreaSel, KernelOp, MigrateMsg, RejectReason};
+use demos_types::proto::{
+    AreaSel, KernelOp, MigrateMsg, RejectReason, DONE_ABORTED, DONE_ALREADY_MIGRATING,
+    DONE_KERNEL_IMMOVABLE, DONE_NO_SUCH_PROCESS, DONE_OK, DONE_PEER_DEAD, DONE_REJECTED_BASE,
+    DONE_RETRY_FAILED, DONE_START_FAILED, DONE_TIMED_OUT, DONE_TO_SELF,
+};
 use demos_types::wire::Wire;
-use demos_types::{DemosError, Duration, Link, MachineId, Message, ProcessId, Result, Time};
+use demos_types::{tags, DemosError, Duration, Link, MachineId, Message, ProcessId, Result, Time};
 
 /// Destination-side acceptance policy (§3.2).
 #[derive(Clone, Copy, Debug)]
@@ -113,15 +117,10 @@ pub struct MigrationStats {
     pub retried: u64,
 }
 
-/// Transfer stage of an incoming migration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Stage {
-    Resident,
-    Swappable,
-    Image,
-}
-
-/// Source-side record of an outgoing migration.
+/// Source-side record of an outgoing migration. An outgoing migration has
+/// one live state — frozen and offered — which ends in `TransferComplete`
+/// (success), or in a `Reject`, an `Abort`, a timeout or the
+/// destination's death ([`MigrationEngine::abort_outgoing`]).
 #[derive(Debug)]
 struct SourceMig {
     pid: ProcessId,
@@ -130,23 +129,33 @@ struct SourceMig {
     /// Reply link from the `MigrateRequest`, forwarded inside the offer so
     /// the destination can send `Done` (message #9).
     reply: Option<Link>,
-    accepted: bool,
 }
 
-/// Destination-side record of an incoming migration.
+/// Where an incoming migration stands.
+#[derive(Debug)]
+enum DestState {
+    /// Steps 4–5: pulling `area` (`Resident`, then `Swappable`, then
+    /// `Image`), holding the state blobs already received.
+    Pulling {
+        area: AreaSel,
+        resident: Vec<u8>,
+        swappable: Vec<u8>,
+    },
+    /// Installed but held (not yet restarted), waiting for `CleanupDone`.
+    Installed,
+}
+
+/// Destination-side record of an incoming migration, keyed by (source,
+/// source context). It ends in a commit ([`MigrationEngine::commit_incoming`])
+/// or an abort ([`MigrationEngine::abort_incoming`]).
 #[derive(Debug)]
 struct DestMig {
     pid: ProcessId,
-    src: MachineId,
-    src_ctx: u16,
     slot: u16,
     started: Time,
     reply: Option<Link>,
-    stage: Stage,
-    resident: Vec<u8>,
-    swappable: Vec<u8>,
     received: u64,
-    installed: bool,
+    state: DestState,
 }
 
 /// Retry bookkeeping for one process whose outgoing migration aborted.
@@ -173,28 +182,48 @@ pub struct MigrationEngine {
     stats: MigrationStats,
 }
 
-/// Cookie layout for kernel pulls: src machine ≪ 32 | ctx ≪ 8 | stage.
-fn cookie(src: MachineId, ctx: u16, stage: Stage) -> u64 {
+/// Cookie layout for kernel pulls: src machine ≪ 32 | ctx ≪ 8 | area
+/// (0 = resident, 1 = swappable, 2 = image).
+fn cookie(src: MachineId, ctx: u16, area: AreaSel) -> u64 {
     ((src.0 as u64) << 32)
         | ((ctx as u64) << 8)
-        | match stage {
-            Stage::Resident => 0,
-            Stage::Swappable => 1,
-            Stage::Image => 2,
+        | match area {
+            AreaSel::Resident => 0,
+            AreaSel::Swappable => 1,
+            // Migration never pulls a link area.
+            AreaSel::Image | AreaSel::LinkArea => 2,
         }
 }
 
-fn uncookie(c: u64) -> (MachineId, u16, Stage) {
-    let stage = match c & 0xff {
-        0 => Stage::Resident,
-        1 => Stage::Swappable,
-        _ => Stage::Image,
+fn uncookie(c: u64) -> (MachineId, u16, AreaSel) {
+    let area = match c & 0xff {
+        0 => AreaSel::Resident,
+        1 => AreaSel::Swappable,
+        _ => AreaSel::Image,
     };
     (
         MachineId((c >> 32) as u16),
         ((c >> 8) & 0xffff) as u16,
-        stage,
+        area,
     )
+}
+
+/// Send the requester `Done` (message #9), if there is a requester.
+#[allow(clippy::too_many_arguments)]
+fn notify(
+    now: Time,
+    kernel: &mut Kernel,
+    reply: Option<Link>,
+    pid: ProcessId,
+    dest: MachineId,
+    status: u8,
+    phys: &mut dyn Phys,
+    out: &mut Outbox,
+) {
+    if let Some(r) = reply {
+        let done = MigrateMsg::Done { pid, dest, status };
+        kernel.send_kernel_to(now, r, tags::MIGRATE, done.to_bytes(), phys, out);
+    }
 }
 
 impl MigrationEngine {
@@ -297,10 +326,15 @@ impl MigrationEngine {
         if self.outgoing.values().any(|m| m.pid == pid) {
             return Err(DemosError::AlreadyMigrating(pid));
         }
+        // Contexts are 16-bit and wrap: take the next one not in flight,
+        // and refuse (before freezing) when every one is.
+        let ctx = (0..u16::MAX as u32)
+            .map(|i| ((self.next_ctx as u32 - 1 + i) % u16::MAX as u32 + 1) as u16)
+            .find(|c| !self.outgoing.contains_key(c))
+            .ok_or(DemosError::Capacity(self.machine))?;
         // Step 1: freeze. Refuses unknown pids and double migrations.
         let sizes = kernel.freeze_for_migration(now, pid, phys, out)?;
-        let ctx = self.next_ctx;
-        self.next_ctx = self.next_ctx.wrapping_add(1).max(1);
+        self.next_ctx = ctx % u16::MAX + 1;
         self.outgoing.insert(
             ctx,
             SourceMig {
@@ -308,7 +342,6 @@ impl MigrationEngine {
                 dest,
                 started: now,
                 reply,
-                accepted: false,
             },
         );
         self.stats.started += 1;
@@ -342,32 +375,17 @@ impl MigrationEngine {
         phys: &mut dyn Phys,
         out: &mut Outbox,
     ) {
-        if msg.header.msg_type == demos_types::tags::KERNEL_OP {
+        if msg.header.msg_type == tags::KERNEL_OP {
             if let Ok(KernelOp::MigrateRequest { dest, .. }) = KernelOp::from_bytes(&msg.payload) {
                 let pid = msg.header.dest.pid;
                 let reply = msg.links.first().copied();
                 if let Err(e) = self.start_migration(now, kernel, pid, dest, reply, phys, out) {
-                    // Notify the requester of the failure, if possible.
-                    if let Some(r) = msg.links.first() {
-                        let done = MigrateMsg::Done {
-                            pid,
-                            dest,
-                            status: reject_status(&e),
-                        };
-                        kernel.send_kernel_to(
-                            now,
-                            *r,
-                            demos_types::tags::MIGRATE,
-                            done.to_bytes(),
-                            phys,
-                            out,
-                        );
-                    }
+                    notify(now, kernel, reply, pid, dest, start_status(&e), phys, out);
                 }
             }
             return;
         }
-        debug_assert_eq!(msg.header.msg_type, demos_types::tags::MIGRATE);
+        debug_assert_eq!(msg.header.msg_type, tags::MIGRATE);
         let Ok(m) = MigrateMsg::from_bytes(&msg.payload) else {
             return;
         };
@@ -400,178 +418,88 @@ impl MigrationEngine {
                     out,
                 );
             }
-            MigrateMsg::Accept { ctx, .. } => {
-                // Guard on the sender: contexts are per-source counters, so
-                // a stale Accept from another machine could otherwise hit an
-                // unrelated outgoing migration that reused the number.
-                if let Some(mig) = self.outgoing.get_mut(&ctx).filter(|m| m.dest == from) {
-                    mig.accepted = true;
-                }
+            MigrateMsg::Accept { .. } => {
+                // Nothing to record: the source's one live state already
+                // waits for `TransferComplete`; the pulls that follow an
+                // Accept are served by the kernel.
             }
             MigrateMsg::Reject { ctx, pid, reason } => {
-                let matches = self
-                    .outgoing
-                    .get(&ctx)
-                    .is_some_and(|m| m.dest == from && m.pid == pid);
-                if matches {
-                    let Some(mig) = self.outgoing.remove(&ctx) else {
-                        return;
-                    };
-                    self.stats.aborted += 1;
+                // Guarded on the sender and pid: contexts are per-source
+                // counters, so a stale message from another machine could
+                // otherwise hit an unrelated migration that reused the
+                // number (likewise for `TransferComplete` and `Abort`).
+                if self.outgoing_is(ctx, from, pid) {
                     self.stats.rejected_by_reason[match reason {
                         RejectReason::Capacity => 0,
                         RejectReason::Policy => 1,
                         RejectReason::DuplicatePid => 2,
                         RejectReason::Protocol => 3,
                     }] += 1;
-                    let retried = self.schedule_retry(now, mig.pid, mig.dest, mig.reply);
-                    kernel.unfreeze(mig.pid, out);
-                    out.trace.push(TraceEvent::Migration {
-                        pid: mig.pid,
-                        phase: MigrationPhase::Rejected,
-                        bytes: 0,
-                    });
-                    if let Some(r) = mig.reply.filter(|_| !retried) {
-                        let done = MigrateMsg::Done {
-                            pid: mig.pid,
-                            dest: mig.dest,
-                            status: 1 + reason as u8,
-                        };
-                        kernel.send_kernel_to(
-                            now,
-                            r,
-                            demos_types::tags::MIGRATE,
-                            done.to_bytes(),
-                            phys,
-                            out,
-                        );
-                    }
+                    let status = DONE_REJECTED_BASE + reason as u8;
+                    let phase = Some(MigrationPhase::Rejected);
+                    self.abort_outgoing(now, kernel, ctx, Some(status), false, phase, phys, out);
                 }
             }
             MigrateMsg::TransferComplete { ctx, .. } => {
-                // Steps 6–7 at the source. Guarded on the sender so a
-                // context number reused by another machine cannot complete
-                // an unrelated migration.
-                if self.outgoing.get(&ctx).is_some_and(|m| m.dest == from) {
-                    let Some(mig) = self.outgoing.remove(&ctx) else {
-                        return;
-                    };
-                    match kernel.finish_source_side(now, mig.pid, mig.dest, phys, out) {
-                        Ok(forwarded) => {
-                            self.stats.pending_forwarded += forwarded as u64;
-                            self.stats.completed_out += 1;
-                            self.retries.remove(&mig.pid);
-                            let cleanup = MigrateMsg::CleanupDone { ctx, forwarded };
-                            kernel.send_migrate_msg(
-                                now,
-                                mig.dest,
-                                cleanup.to_bytes(),
-                                vec![],
-                                phys,
-                                out,
-                            );
-                        }
-                        Err(_) => {
-                            // Process vanished mid-migration (killed):
-                            // tell the destination to drop its copy.
-                            let abort = MigrateMsg::Abort { ctx, pid: mig.pid };
-                            kernel.send_migrate_msg(
-                                now,
-                                mig.dest,
-                                abort.to_bytes(),
-                                vec![],
-                                phys,
-                                out,
-                            );
-                            self.stats.aborted += 1;
-                            self.retries.remove(&mig.pid);
-                        }
+                // Steps 6–7 at the source.
+                let Some(pid) = self
+                    .outgoing
+                    .get(&ctx)
+                    .filter(|m| m.dest == from)
+                    .map(|m| m.pid)
+                else {
+                    return;
+                };
+                match kernel.finish_source_side(now, pid, from, phys, out) {
+                    Ok(forwarded) => {
+                        self.outgoing.remove(&ctx);
+                        self.stats.pending_forwarded += forwarded as u64;
+                        self.stats.completed_out += 1;
+                        self.retries.remove(&pid);
+                        let cleanup = MigrateMsg::CleanupDone { ctx, forwarded };
+                        kernel.send_migrate_msg(now, from, cleanup.to_bytes(), vec![], phys, out);
                     }
+                    // Process vanished mid-migration (killed): tell the
+                    // destination to drop its copy.
+                    Err(_) => self.abort_outgoing(now, kernel, ctx, None, true, None, phys, out),
                 }
             }
             MigrateMsg::CleanupDone { ctx, .. } => {
-                // Step 8 at the destination.
-                if let Some(mig) = self.incoming.remove(&(from, ctx)) {
-                    if kernel.restart_migrated(mig.pid, out).is_ok() {
-                        self.stats.completed_in += 1;
-                        self.stats.total_in_duration += now.since(mig.started);
-                        if let Some(r) = mig.reply {
-                            let done = MigrateMsg::Done {
-                                pid: mig.pid,
-                                dest: self.machine,
-                                status: 0,
-                            };
-                            kernel.send_kernel_to(
-                                now,
-                                r,
-                                demos_types::tags::MIGRATE,
-                                done.to_bytes(),
-                                phys,
-                                out,
-                            );
-                        }
-                    }
+                // Step 8 at the destination. A copy that cannot restart
+                // (killed meanwhile) is forgotten.
+                if !self.commit_incoming(now, kernel, (from, ctx), None, phys, out) {
+                    self.incoming.remove(&(from, ctx));
                 }
             }
             MigrateMsg::Abort { ctx, pid } => {
                 // Source told us (destination) to abandon; or destination
                 // told us (source) it failed mid-transfer. Each abort must
-                // hit exactly the migration it names: contexts are per-
-                // source counters, so both branches also match on pid (and
-                // the outgoing branch on the sending machine) — otherwise a
-                // crossing Abort whose own record already timed out locally
-                // would remove an unrelated migration that reused the
-                // context number, double-counting `aborted`.
-                let incoming_match = self
+                // hit exactly the migration it names, or a crossing Abort
+                // whose own record already timed out locally would remove
+                // an unrelated migration that reused the context number,
+                // double-counting `aborted`.
+                if self
                     .incoming
                     .get(&(from, ctx))
-                    .is_some_and(|m| m.pid == pid);
-                let outgoing_match = self
-                    .outgoing
-                    .get(&ctx)
-                    .is_some_and(|m| m.dest == from && m.pid == pid);
-                if incoming_match {
-                    let Some(mig) = self.incoming.remove(&(from, ctx)) else {
-                        return;
-                    };
-                    kernel.release_reservation(mig.slot);
-                    if mig.installed {
-                        kernel.kill(now, mig.pid, phys, out);
-                    }
-                    self.stats.aborted += 1;
-                    out.trace.push(TraceEvent::Migration {
-                        pid,
-                        phase: MigrationPhase::Aborted,
-                        bytes: 0,
-                    });
-                } else if outgoing_match {
-                    let Some(mig) = self.outgoing.remove(&ctx) else {
-                        return;
-                    };
-                    kernel.unfreeze(mig.pid, out);
-                    self.stats.aborted += 1;
-                    let retried = self.schedule_retry(now, mig.pid, mig.dest, mig.reply);
-                    if let Some(r) = mig.reply.filter(|_| !retried) {
-                        let done = MigrateMsg::Done {
-                            pid: mig.pid,
-                            dest: mig.dest,
-                            status: 200,
-                        };
-                        kernel.send_kernel_to(
-                            now,
-                            r,
-                            demos_types::tags::MIGRATE,
-                            done.to_bytes(),
-                            phys,
-                            out,
-                        );
-                    }
+                    .is_some_and(|m| m.pid == pid)
+                {
+                    self.abort_incoming(now, kernel, (from, ctx), false, phys, out);
+                } else if self.outgoing_is(ctx, from, pid) {
+                    let status = Some(DONE_ABORTED);
+                    self.abort_outgoing(now, kernel, ctx, status, false, None, phys, out);
                 }
             }
             MigrateMsg::Done { .. } => {
                 // Addressed to the requesting process, not the engine.
             }
         }
+    }
+
+    /// Whether outgoing context `ctx` is the migration of `pid` to `dest`.
+    fn outgoing_is(&self, ctx: u16, dest: MachineId, pid: ProcessId) -> bool {
+        self.outgoing
+            .get(&ctx)
+            .is_some_and(|m| m.dest == dest && m.pid == pid)
     }
 
     /// Destination side of the offer (steps 3–5 start here).
@@ -592,44 +520,23 @@ impl MigrationEngine {
             AcceptPolicy::Never => false,
             AcceptPolicy::Custom(f) => f(&info),
         };
-        if !policy_ok {
-            self.reject_offer(
-                now,
-                kernel,
-                from,
-                src_ctx,
-                info.pid,
-                RejectReason::Policy,
-                phys,
-                out,
-            );
-            return;
-        }
-        // A re-used (source, context) pair while that context's migration
-        // is still in flight is a protocol violation: accepting it would
-        // overwrite the in-progress entry and leak its reservation.
-        if self.incoming.contains_key(&(from, src_ctx)) {
-            self.reject_offer(
-                now,
-                kernel,
-                from,
-                src_ctx,
-                info.pid,
-                RejectReason::Protocol,
-                phys,
-                out,
-            );
-            return;
-        }
-        // Step 3: allocate an (empty) process state — here, a capacity
-        // reservation under the same process identifier.
-        let slot = match kernel.reserve_incoming(info.pid, info.image_len as u64) {
-            Ok(slot) => slot,
-            Err(e) => {
-                // Exhaustive: a new error variant must consciously pick
-                // its reject reason (Capacity is the §5 step-3 bucket —
-                // "allocate process state" failed — not a default).
-                let reason = match e {
+        let slot = if !policy_ok {
+            Err(RejectReason::Policy)
+        } else if self.incoming.contains_key(&(from, src_ctx)) {
+            // A re-used (source, context) pair while that context's
+            // migration is still in flight is a protocol violation:
+            // accepting it would overwrite the in-progress entry and leak
+            // its reservation.
+            Err(RejectReason::Protocol)
+        } else {
+            // Step 3: allocate an (empty) process state — here, a capacity
+            // reservation under the same process identifier.
+            kernel
+                .reserve_incoming(info.pid, info.image_len as u64)
+                .map_err(|e| match e {
+                    // Exhaustive: a new error variant must consciously pick
+                    // its reject reason (Capacity is the §5 step-3 bucket —
+                    // "allocate process state" failed — not a default).
                     DemosError::AlreadyMigrating(_) => RejectReason::DuplicatePid,
                     DemosError::NoSuchMachine(_)
                     | DemosError::NoSuchProcess(_)
@@ -647,8 +554,23 @@ impl MigrationEngine {
                     | DemosError::Wire(_)
                     | DemosError::UnknownProgram(_)
                     | DemosError::Internal(_) => RejectReason::Capacity,
+                })
+        };
+        let slot = match slot {
+            Ok(slot) => slot,
+            Err(reason) => {
+                self.stats.rejected += 1;
+                let reject = MigrateMsg::Reject {
+                    ctx: src_ctx,
+                    pid: info.pid,
+                    reason,
                 };
-                self.reject_offer(now, kernel, from, src_ctx, info.pid, reason, phys, out);
+                kernel.send_migrate_msg(now, from, reject.to_bytes(), vec![], phys, out);
+                out.trace.push(TraceEvent::Migration {
+                    pid: info.pid,
+                    phase: MigrationPhase::Rejected,
+                    bytes: 0,
+                });
                 return;
             }
         };
@@ -667,55 +589,27 @@ impl MigrationEngine {
             (from, src_ctx),
             DestMig {
                 pid: info.pid,
-                src: from,
-                src_ctx,
                 slot,
                 started: now,
                 reply,
-                stage: Stage::Resident,
-                resident: Vec::new(),
-                swappable: Vec::new(),
                 received: 0,
-                installed: false,
+                state: DestState::Pulling {
+                    area: AreaSel::Resident,
+                    resident: Vec::new(),
+                    swappable: Vec::new(),
+                },
             },
         );
         // Step 4 begins: pull the resident state.
         kernel.start_kernel_pull(
             now,
-            cookie(from, src_ctx, Stage::Resident),
+            cookie(from, src_ctx, AreaSel::Resident),
             info.pid,
             from,
             AreaSel::Resident,
             phys,
             out,
         );
-    }
-
-    /// Refuse an offer: count it, notify the source, trace the rejection.
-    #[allow(clippy::too_many_arguments)]
-    fn reject_offer(
-        &mut self,
-        now: Time,
-        kernel: &mut Kernel,
-        from: MachineId,
-        src_ctx: u16,
-        pid: ProcessId,
-        reason: RejectReason,
-        phys: &mut dyn Phys,
-        out: &mut Outbox,
-    ) {
-        self.stats.rejected += 1;
-        let reject = MigrateMsg::Reject {
-            ctx: src_ctx,
-            pid,
-            reason,
-        };
-        kernel.send_migrate_msg(now, from, reject.to_bytes(), vec![], phys, out);
-        out.trace.push(TraceEvent::Migration {
-            pid,
-            phase: MigrationPhase::Rejected,
-            bytes: 0,
-        });
     }
 
     /// Feed a completed kernel pull (from [`Outbox::pull_done`]).
@@ -727,99 +621,176 @@ impl MigrationEngine {
         phys: &mut dyn Phys,
         out: &mut Outbox,
     ) {
-        let (src, ctx, stage) = uncookie(done.cookie);
+        let (src, ctx, pulled) = uncookie(done.cookie);
         let Some(mig) = self.incoming.get_mut(&(src, ctx)) else {
             return;
         };
         if done.status != 0 {
-            let Some(mig) = self.incoming.remove(&(src, ctx)) else {
-                return;
-            };
-            kernel.release_reservation(mig.slot);
-            self.stats.aborted += 1;
-            let abort = MigrateMsg::Abort { ctx, pid: mig.pid };
-            kernel.send_migrate_msg(now, src, abort.to_bytes(), vec![], phys, out);
-            out.trace.push(TraceEvent::Migration {
-                pid: mig.pid,
-                phase: MigrationPhase::Aborted,
-                bytes: 0,
-            });
+            self.abort_incoming(now, kernel, (src, ctx), true, phys, out);
             return;
         }
-        debug_assert_eq!(mig.stage, stage, "pull completions arrive in order");
+        let DestState::Pulling {
+            area,
+            resident,
+            swappable,
+        } = &mut mig.state
+        else {
+            // Every pull has completed once the copy is installed.
+            return;
+        };
+        debug_assert_eq!(*area, pulled, "pull completions arrive in order");
         mig.received += done.data.len() as u64;
         self.stats.bytes_received += done.data.len() as u64;
-        match stage {
-            Stage::Resident => {
-                mig.resident = done.data;
-                mig.stage = Stage::Swappable;
-                kernel.start_kernel_pull(
-                    now,
-                    cookie(src, ctx, Stage::Swappable),
-                    mig.pid,
-                    src,
-                    AreaSel::Swappable,
-                    phys,
-                    out,
-                );
+        let next = match *area {
+            AreaSel::Resident => {
+                *resident = done.data;
+                AreaSel::Swappable
             }
-            Stage::Swappable => {
-                mig.swappable = done.data;
-                mig.stage = Stage::Image;
+            AreaSel::Swappable => {
+                *swappable = done.data;
                 out.trace.push(TraceEvent::Migration {
                     pid: mig.pid,
                     phase: MigrationPhase::StateTransferred,
                     bytes: mig.received,
                 });
-                kernel.start_kernel_pull(
-                    now,
-                    cookie(src, ctx, Stage::Image),
-                    mig.pid,
-                    src,
-                    AreaSel::Image,
-                    phys,
-                    out,
-                );
+                AreaSel::Image
             }
-            Stage::Image => {
+            AreaSel::Image | AreaSel::LinkArea => {
                 // Step 5 complete: install.
-                let (pid, slot, resident, swappable) = (
-                    mig.pid,
-                    mig.slot,
-                    std::mem::take(&mut mig.resident),
-                    std::mem::take(&mut mig.swappable),
-                );
-                let received = mig.received;
-                match kernel
-                    .install_migrated(now, slot, src, &resident, &swappable, &done.data, out)
-                {
-                    Ok(installed_pid) => {
-                        debug_assert_eq!(installed_pid, pid);
-                        if let Some(mig) = self.incoming.get_mut(&(src, ctx)) {
-                            mig.installed = true;
-                        }
+                let (resident, swappable) = (std::mem::take(resident), std::mem::take(swappable));
+                let installed = kernel
+                    .install_migrated(now, mig.slot, src, &resident, &swappable, &done.data, out);
+                match installed {
+                    Ok(pid) => {
+                        debug_assert_eq!(pid, mig.pid);
+                        mig.state = DestState::Installed;
                         let complete = MigrateMsg::TransferComplete {
                             ctx,
-                            received: received as u32,
+                            received: mig.received as u32,
                         };
                         kernel.send_migrate_msg(now, src, complete.to_bytes(), vec![], phys, out);
                     }
-                    Err(_) => {
-                        if let Some(mig) = self.incoming.remove(&(src, ctx)) {
-                            kernel.release_reservation(mig.slot);
-                        }
-                        self.stats.aborted += 1;
-                        let abort = MigrateMsg::Abort { ctx, pid };
-                        kernel.send_migrate_msg(now, src, abort.to_bytes(), vec![], phys, out);
-                        out.trace.push(TraceEvent::Migration {
-                            pid,
-                            phase: MigrationPhase::Aborted,
-                            bytes: 0,
-                        });
-                    }
+                    Err(_) => self.abort_incoming(now, kernel, (src, ctx), true, phys, out),
+                }
+                return;
+            }
+        };
+        *area = next;
+        kernel.start_kernel_pull(now, cookie(src, ctx, next), mig.pid, src, next, phys, out);
+    }
+
+    /// End unfinished outgoing migration `ctx`: thaw the process, tell the
+    /// destination when `tell_dest`, trace `phase` if given, then re-offer
+    /// the process or send the requester `Done` with `status`. A `None`
+    /// status means the process is gone: no retry and no `Done`.
+    #[allow(clippy::too_many_arguments)]
+    fn abort_outgoing(
+        &mut self,
+        now: Time,
+        kernel: &mut Kernel,
+        ctx: u16,
+        status: Option<u8>,
+        tell_dest: bool,
+        phase: Option<MigrationPhase>,
+        phys: &mut dyn Phys,
+        out: &mut Outbox,
+    ) {
+        let Some(mig) = self.outgoing.remove(&ctx) else {
+            return;
+        };
+        self.stats.aborted += 1;
+        kernel.unfreeze(mig.pid, out);
+        if tell_dest {
+            let abort = MigrateMsg::Abort { ctx, pid: mig.pid };
+            kernel.send_migrate_msg(now, mig.dest, abort.to_bytes(), vec![], phys, out);
+        }
+        if let Some(phase) = phase {
+            out.trace.push(TraceEvent::Migration {
+                pid: mig.pid,
+                phase,
+                bytes: 0,
+            });
+        }
+        match status {
+            None => {
+                self.retries.remove(&mig.pid);
+            }
+            Some(status) => {
+                if !self.schedule_retry(now, mig.pid, mig.dest, mig.reply) {
+                    notify(now, kernel, mig.reply, mig.pid, mig.dest, status, phys, out);
                 }
             }
         }
+    }
+
+    /// End unfinished incoming migration `key`: release its reservation
+    /// or kill its installed copy, tell the source when `tell_src`, and
+    /// trace `Aborted`.
+    fn abort_incoming(
+        &mut self,
+        now: Time,
+        kernel: &mut Kernel,
+        key: (MachineId, u16),
+        tell_src: bool,
+        phys: &mut dyn Phys,
+        out: &mut Outbox,
+    ) {
+        let Some(mig) = self.incoming.remove(&key) else {
+            return;
+        };
+        // Installing consumed the reservation: an installed copy is killed
+        // instead, which reclaims its memory.
+        match mig.state {
+            DestState::Pulling { .. } => kernel.release_reservation(mig.slot),
+            DestState::Installed => kernel.kill(now, mig.pid, phys, out),
+        }
+        self.stats.aborted += 1;
+        if tell_src {
+            let abort = MigrateMsg::Abort {
+                ctx: key.1,
+                pid: mig.pid,
+            };
+            kernel.send_migrate_msg(now, key.0, abort.to_bytes(), vec![], phys, out);
+        }
+        out.trace.push(TraceEvent::Migration {
+            pid: mig.pid,
+            phase: MigrationPhase::Aborted,
+            bytes: 0,
+        });
+    }
+
+    /// Step 8: restart incoming migration `key`'s copy, trace `phase` if
+    /// given, and send the requester `Done`. Returns false, changing
+    /// nothing, when there is no such migration or its copy cannot
+    /// restart.
+    fn commit_incoming(
+        &mut self,
+        now: Time,
+        kernel: &mut Kernel,
+        key: (MachineId, u16),
+        phase: Option<MigrationPhase>,
+        phys: &mut dyn Phys,
+        out: &mut Outbox,
+    ) -> bool {
+        let Some(mig) = self.incoming.get(&key) else {
+            return false;
+        };
+        if kernel.restart_migrated(mig.pid, out).is_err() {
+            return false;
+        }
+        let (pid, started, reply) = (mig.pid, mig.started, mig.reply);
+        self.incoming.remove(&key);
+        self.stats.completed_in += 1;
+        self.stats.total_in_duration += now.since(started);
+        if let Some(phase) = phase {
+            out.trace.push(TraceEvent::Migration {
+                pid,
+                phase,
+                bytes: 0,
+            });
+        }
+        notify(now, kernel, reply, pid, self.machine, DONE_OK, phys, out);
+        true
     }
 
     /// A peer machine was confirmed dead by the failure detector: resolve
@@ -846,45 +817,15 @@ impl MigrationEngine {
     ) {
         let incoming: Vec<(MachineId, u16)> = self
             .incoming
-            .keys()
-            .filter(|&&(src, _)| src == peer)
-            .copied()
+            .iter()
+            .filter(|(&(src, _), _)| src == peer)
+            .map(|(&k, _)| k)
             .collect();
         for key in incoming {
-            let Some(mig) = self.incoming.remove(&key) else {
-                continue;
-            };
-            if mig.installed && kernel.restart_migrated(mig.pid, out).is_ok() {
-                self.stats.completed_in += 1;
-                self.stats.total_in_duration += now.since(mig.started);
-                out.trace.push(TraceEvent::Migration {
-                    pid: mig.pid,
-                    phase: MigrationPhase::Restarted,
-                    bytes: 0,
-                });
-                if let Some(r) = mig.reply {
-                    let done = MigrateMsg::Done {
-                        pid: mig.pid,
-                        dest: self.machine,
-                        status: 0,
-                    };
-                    kernel.send_kernel_to(
-                        now,
-                        r,
-                        demos_types::tags::MIGRATE,
-                        done.to_bytes(),
-                        phys,
-                        out,
-                    );
-                }
-            } else {
-                kernel.release_reservation(mig.slot);
-                self.stats.aborted += 1;
-                out.trace.push(TraceEvent::Migration {
-                    pid: mig.pid,
-                    phase: MigrationPhase::Aborted,
-                    bytes: 0,
-                });
+            let installed = matches!(self.incoming[&key].state, DestState::Installed);
+            let restarted = Some(MigrationPhase::Restarted);
+            if !(installed && self.commit_incoming(now, kernel, key, restarted, phys, out)) {
+                self.abort_incoming(now, kernel, key, false, phys, out);
             }
         }
         let outgoing: Vec<u16> = self
@@ -894,32 +835,8 @@ impl MigrationEngine {
             .map(|(&c, _)| c)
             .collect();
         for ctx in outgoing {
-            let Some(mig) = self.outgoing.remove(&ctx) else {
-                continue;
-            };
-            self.stats.aborted += 1;
-            kernel.unfreeze(mig.pid, out);
-            let retried = self.schedule_retry(now, mig.pid, mig.dest, mig.reply);
-            out.trace.push(TraceEvent::Migration {
-                pid: mig.pid,
-                phase: MigrationPhase::Aborted,
-                bytes: 0,
-            });
-            if let Some(r) = mig.reply.filter(|_| !retried) {
-                let done = MigrateMsg::Done {
-                    pid: mig.pid,
-                    dest: mig.dest,
-                    status: 203,
-                };
-                kernel.send_kernel_to(
-                    now,
-                    r,
-                    demos_types::tags::MIGRATE,
-                    done.to_bytes(),
-                    phys,
-                    out,
-                );
-            }
+            let (status, phase) = (Some(DONE_PEER_DEAD), Some(MigrationPhase::Aborted));
+            self.abort_outgoing(now, kernel, ctx, status, false, phase, phys, out);
         }
     }
 
@@ -959,29 +876,8 @@ impl MigrationEngine {
             .map(|(&c, _)| c)
             .collect();
         for ctx in stale_out {
-            let Some(mig) = self.outgoing.remove(&ctx) else {
-                continue;
-            };
-            self.stats.aborted += 1;
-            kernel.unfreeze(mig.pid, out);
-            let retried = self.schedule_retry(now, mig.pid, mig.dest, mig.reply);
-            let abort = MigrateMsg::Abort { ctx, pid: mig.pid };
-            kernel.send_migrate_msg(now, mig.dest, abort.to_bytes(), vec![], phys, out);
-            if let Some(r) = mig.reply.filter(|_| !retried) {
-                let done = MigrateMsg::Done {
-                    pid: mig.pid,
-                    dest: mig.dest,
-                    status: 201,
-                };
-                kernel.send_kernel_to(
-                    now,
-                    r,
-                    demos_types::tags::MIGRATE,
-                    done.to_bytes(),
-                    phys,
-                    out,
-                );
-            }
+            let status = Some(DONE_TIMED_OUT);
+            self.abort_outgoing(now, kernel, ctx, status, true, None, phys, out);
         }
         let stale_in: Vec<(MachineId, u16)> = self
             .incoming
@@ -990,24 +886,7 @@ impl MigrationEngine {
             .map(|(&k, _)| k)
             .collect();
         for key in stale_in {
-            let Some(mig) = self.incoming.remove(&key) else {
-                continue;
-            };
-            kernel.release_reservation(mig.slot);
-            if mig.installed {
-                kernel.kill(now, mig.pid, phys, out);
-            }
-            self.stats.aborted += 1;
-            let abort = MigrateMsg::Abort {
-                ctx: mig.src_ctx,
-                pid: mig.pid,
-            };
-            kernel.send_migrate_msg(now, mig.src, abort.to_bytes(), vec![], phys, out);
-            out.trace.push(TraceEvent::Migration {
-                pid: mig.pid,
-                phase: MigrationPhase::Aborted,
-                bytes: 0,
-            });
+            self.abort_incoming(now, kernel, key, true, phys, out);
         }
         // Fire scheduled retries: re-offer each aborted process to its
         // alternate destination (bounded by `cfg.retries`).
@@ -1034,34 +913,21 @@ impl MigrationEngine {
                 // The process is gone (killed) or already moving again:
                 // give up on this retry chain.
                 self.retries.remove(&pid);
-                if let Some(r) = reply {
-                    let done = MigrateMsg::Done {
-                        pid,
-                        dest,
-                        status: 202,
-                    };
-                    kernel.send_kernel_to(
-                        now,
-                        r,
-                        demos_types::tags::MIGRATE,
-                        done.to_bytes(),
-                        phys,
-                        out,
-                    );
-                }
+                notify(now, kernel, reply, pid, dest, DONE_RETRY_FAILED, phys, out);
             }
         }
     }
 }
 
-fn reject_status(e: &DemosError) -> u8 {
+/// The `Done` status for a migration that could not start.
+fn start_status(e: &DemosError) -> u8 {
     // Exhaustive: a new error variant must consciously pick its status
-    // byte (199 is the generic bucket, chosen per-variant, not by default).
+    // byte (the generic bucket is chosen per-variant, not by default).
     match e {
-        DemosError::MigrationToSelf(_) => 100,
-        DemosError::AlreadyMigrating(_) => 101,
-        DemosError::NoSuchProcess(_) => 102,
-        DemosError::KernelImmovable(_) => 103,
+        DemosError::MigrationToSelf(_) => DONE_TO_SELF,
+        DemosError::AlreadyMigrating(_) => DONE_ALREADY_MIGRATING,
+        DemosError::NoSuchProcess(_) => DONE_NO_SUCH_PROCESS,
+        DemosError::KernelImmovable(_) => DONE_KERNEL_IMMOVABLE,
         DemosError::NoSuchMachine(_)
         | DemosError::BadLink(_)
         | DemosError::LinkAccess { .. }
@@ -1074,20 +940,96 @@ fn reject_status(e: &DemosError) -> u8 {
         | DemosError::Capacity(_)
         | DemosError::Wire(_)
         | DemosError::UnknownProgram(_)
-        | DemosError::Internal(_) => 199,
+        | DemosError::Internal(_) => DONE_START_FAILED,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use demos_kernel::{Ctx, Delivered, ImageLayout, KernelConfig, Program, Registry};
+    use demos_net::Frame;
+    use std::sync::Arc;
+
+    struct Idle;
+
+    impl Program for Idle {
+        fn on_message(&mut self, _ctx: &mut Ctx<'_>, _msg: Delivered) {}
+        fn save(&self) -> Vec<u8> {
+            Vec::new()
+        }
+    }
+
+    struct Sink;
+
+    impl Phys for Sink {
+        fn transmit(&mut self, _now: Time, _src: MachineId, _dst: MachineId, _frame: Frame) {}
+    }
+
+    /// A source kernel holding `n` idle processes, and its engine.
+    fn source(n: usize) -> (Kernel, MigrationEngine, Vec<ProcessId>) {
+        let mut reg = Registry::new();
+        reg.register("idle", |_| Box::new(Idle));
+        let mut kernel = Kernel::new(MachineId(0), KernelConfig::default(), Arc::new(reg));
+        let pids = (0..n)
+            .map(|_| {
+                kernel
+                    .spawn(
+                        Time::ZERO,
+                        "idle",
+                        &[],
+                        ImageLayout::default(),
+                        false,
+                        &mut Outbox::default(),
+                    )
+                    .unwrap()
+            })
+            .collect();
+        let engine = MigrationEngine::new(MachineId(0), MigrationConfig::default());
+        (kernel, engine, pids)
+    }
+
+    fn start(kernel: &mut Kernel, engine: &mut MigrationEngine, pid: ProcessId) -> Result<()> {
+        let out = &mut Outbox::default();
+        engine.start_migration(Time::ZERO, kernel, pid, MachineId(1), None, &mut Sink, out)
+    }
+
+    #[test]
+    fn wrapped_context_skips_one_still_in_flight() {
+        let (mut kernel, mut engine, pids) = source(3);
+        start(&mut kernel, &mut engine, pids[0]).unwrap();
+        engine.next_ctx = u16::MAX;
+        start(&mut kernel, &mut engine, pids[1]).unwrap();
+        start(&mut kernel, &mut engine, pids[2]).unwrap();
+        let ctxs: Vec<(u16, ProcessId)> =
+            engine.outgoing.iter().map(|(&c, m)| (c, m.pid)).collect();
+        assert_eq!(
+            ctxs,
+            vec![(1, pids[0]), (2, pids[2]), (u16::MAX, pids[1])],
+            "live context 1 is skipped, not overwritten"
+        );
+    }
+
+    #[test]
+    fn migration_refused_unfrozen_when_every_context_is_live() {
+        let (mut kernel, mut engine, pids) = source(2);
+        start(&mut kernel, &mut engine, pids[0]).unwrap();
+        let live = engine.outgoing.remove(&1).unwrap();
+        engine.outgoing = (1..=u16::MAX)
+            .map(|ctx| (ctx, SourceMig { ..live }))
+            .collect();
+        let r = start(&mut kernel, &mut engine, pids[1]);
+        assert!(matches!(r, Err(DemosError::Capacity(_))), "{r:?}");
+        assert!(!kernel.process(pids[1]).unwrap().in_migration, "not frozen");
+        assert_eq!(engine.stats().started, 1);
+    }
 
     #[test]
     fn cookie_roundtrip() {
         for (m, c, s) in [
-            (MachineId(0), 1u16, Stage::Resident),
-            (MachineId(7), 0xffff, Stage::Swappable),
-            (MachineId(u16::MAX), 42, Stage::Image),
+            (MachineId(0), 1u16, AreaSel::Resident),
+            (MachineId(7), 0xffff, AreaSel::Swappable),
+            (MachineId(u16::MAX), 42, AreaSel::Image),
         ] {
             let (m2, c2, s2) = uncookie(cookie(m, c, s));
             assert_eq!((m, c, s), (m2, c2, s2));

@@ -1995,8 +1995,12 @@ impl Kernel {
         if self.mem_used + image_len > self.cfg.mem_capacity {
             return Err(DemosError::Capacity(self.machine));
         }
-        let slot = self.next_slot;
-        self.next_slot = self.next_slot.wrapping_add(1).max(1);
+        // Slots are 16-bit and wrap: take the next one not reserved.
+        let slot = (0..u16::MAX as u32)
+            .map(|i| ((self.next_slot as u32 - 1 + i) % u16::MAX as u32 + 1) as u16)
+            .find(|s| !self.reserved.contains_key(s))
+            .ok_or(DemosError::Capacity(self.machine))?;
+        self.next_slot = slot % u16::MAX + 1;
         self.mem_used += image_len;
         self.reserved.insert(slot, image_len);
         Ok(slot)
@@ -2162,4 +2166,48 @@ pub fn decode_md_done(payload: &Bytes) -> Option<(u16, u8, u32)> {
         return None;
     }
     Some((b.get_u16(), b.get_u8(), b.get_u32()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn pid(local_uid: u32) -> ProcessId {
+        ProcessId {
+            creating_machine: MachineId(1),
+            local_uid,
+        }
+    }
+
+    fn kernel(cfg: KernelConfig) -> Kernel {
+        Kernel::new(MachineId(0), cfg, Arc::new(Registry::new()))
+    }
+
+    #[test]
+    fn wrapped_slot_skips_one_still_reserved() {
+        let mut k = kernel(KernelConfig::default());
+        let a = k.reserve_incoming(pid(1), 100).unwrap();
+        k.next_slot = u16::MAX;
+        let b = k.reserve_incoming(pid(2), 100).unwrap();
+        let c = k.reserve_incoming(pid(3), 100).unwrap();
+        assert_eq!((a, b, c), (1, u16::MAX, 2), "live slot 1 is skipped");
+        assert_eq!(k.mem_used(), 300);
+        for slot in [a, b, c] {
+            k.release_reservation(slot);
+        }
+        assert_eq!(k.mem_used(), 0, "every reservation is released");
+    }
+
+    #[test]
+    fn reservation_refused_when_every_slot_is_live() {
+        let mut k = kernel(KernelConfig {
+            max_processes: usize::MAX,
+            ..KernelConfig::default()
+        });
+        k.reserved = (1..=u16::MAX).map(|slot| (slot, 0)).collect();
+        let r = k.reserve_incoming(pid(1), 100);
+        assert!(matches!(r, Err(DemosError::Capacity(_))), "{r:?}");
+        assert_eq!(k.mem_used(), 0, "nothing reserved");
+        assert_eq!(k.reserved.len(), u16::MAX as usize);
+    }
 }

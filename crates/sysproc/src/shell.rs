@@ -8,7 +8,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use demos_kernel::{Carry, Ctx, Delivered, ImageLayout, Program};
-use demos_types::proto::MigrateMsg;
+use demos_types::proto::{MigrateMsg, DONE_OK};
 use demos_types::wire::{self, Wire};
 use demos_types::{tags, Duration, LinkAttrs, LinkIdx, MachineId};
 
@@ -166,7 +166,7 @@ pub struct Shell {
     pub spawned_ok: u64,
     /// Spawn failures observed.
     pub spawn_failed: u64,
-    /// Migration completions observed (`Done` status 0).
+    /// Migration completions observed (`Done` status [`DONE_OK`]).
     pub migrations_ok: u64,
     /// Migration failures observed.
     pub migrations_failed: u64,
@@ -241,7 +241,7 @@ impl Program for Shell {
             }
             tags::MIGRATE => {
                 if let Ok(MigrateMsg::Done { status, .. }) = MigrateMsg::from_bytes(&msg.payload) {
-                    if status == 0 {
+                    if status == DONE_OK {
                         self.migrations_ok += 1;
                     } else {
                         self.migrations_failed += 1;

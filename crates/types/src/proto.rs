@@ -197,7 +197,10 @@ pub enum MigrateMsg {
         pid: ProcessId,
         /// Where it now runs.
         dest: MachineId,
-        /// 0 = success; otherwise a [`RejectReason`] code + 1.
+        /// One of the `DONE_*` codes: [`DONE_OK`], a refusal
+        /// ([`DONE_REJECTED_BASE`] + the [`RejectReason`] code, so 1–4), a
+        /// migration that could not start (100–103, [`DONE_START_FAILED`])
+        /// or one that ended unfinished (200–203).
         status: u8,
     },
     /// Source aborts an in-flight migration (timeout / crash recovery).
@@ -208,6 +211,32 @@ pub enum MigrateMsg {
         pid: ProcessId,
     },
 }
+
+/// `Done.status`: the process now runs at `dest`.
+pub const DONE_OK: u8 = 0;
+/// `Done.status`: the destination refused the offer. The status is this
+/// plus the [`RejectReason`] wire code (0–3), so 1 = capacity, 2 = policy,
+/// 3 = duplicate pid, 4 = protocol.
+pub const DONE_REJECTED_BASE: u8 = 1;
+/// `Done.status`: not started, the destination is the process's own
+/// machine.
+pub const DONE_TO_SELF: u8 = 100;
+/// `Done.status`: not started, the process is already migrating.
+pub const DONE_ALREADY_MIGRATING: u8 = 101;
+/// `Done.status`: not started, no such process here.
+pub const DONE_NO_SUCH_PROCESS: u8 = 102;
+/// `Done.status`: not started, kernel processes do not move.
+pub const DONE_KERNEL_IMMOVABLE: u8 = 103;
+/// `Done.status`: not started, for any other reason.
+pub const DONE_START_FAILED: u8 = 199;
+/// `Done.status`: the destination aborted mid-transfer.
+pub const DONE_ABORTED: u8 = 200;
+/// `Done.status`: the source gave up waiting (migration timeout).
+pub const DONE_TIMED_OUT: u8 = 201;
+/// `Done.status`: a retry to an alternate destination could not start.
+pub const DONE_RETRY_FAILED: u8 = 202;
+/// `Done.status`: the destination machine was confirmed dead.
+pub const DONE_PEER_DEAD: u8 = 203;
 
 impl Wire for MigrateMsg {
     fn encode(&self, buf: &mut BytesMut) {
